@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "graph/union_find.h"
-#include "proximity/classic.h"
 #include "proximity/ldel.h"
 
 namespace geospanner::backends {
@@ -75,12 +74,7 @@ BackendResult KanjPerkovicBackend::build(const GeometricGraph& udg, double /*rad
     auto start = Clock::now();
     const auto triangles =
         proximity::planarize_triangles(udg, proximity::ldel1_triangles(udg));
-    GeometricGraph pldel = proximity::build_gabriel(udg);
-    for (const auto& t : triangles) {
-        pldel.add_edge(t.a, t.b);
-        pldel.add_edge(t.b, t.c);
-        pldel.add_edge(t.a, t.c);
-    }
+    const GeometricGraph pldel = proximity::ldel_graph(udg, triangles);
     stats.push_back({"pldel", ms_since(start), pldel.edge_count(), 1});
 
     // Stage 2: mutual Yao — per node, the shortest incident PLDel edge

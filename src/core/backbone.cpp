@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "protocol/clustering.h"
-#include "proximity/classic.h"
 #include "proximity/ldel_k.h"
 #include "protocol/ldel2_protocol.h"
 #include "protocol/ldel_protocol.h"
@@ -29,21 +28,23 @@ double MessageStats::avg_of(const std::vector<std::size_t>& counts) {
 
 GeometricGraph induce_on_backbone(const GeometricGraph& udg,
                                   const std::vector<bool>& in_backbone) {
-    GeometricGraph g(udg.points());
+    std::vector<std::pair<NodeId, NodeId>> edges;
     for (const auto& [u, v] : udg.edges()) {
-        if (in_backbone[u] && in_backbone[v]) g.add_edge(u, v);
+        if (in_backbone[u] && in_backbone[v]) edges.emplace_back(u, v);
     }
-    return g;
+    return GeometricGraph::from_edges(udg.points(), edges);
 }
 
 GeometricGraph with_dominatee_links(const GeometricGraph& base,
                                     const protocol::ClusterState& cluster) {
-    GeometricGraph g = base;
-    for (NodeId v = 0; v < g.node_count(); ++v) {
+    std::vector<std::pair<NodeId, NodeId>> links;
+    for (NodeId v = 0; v < base.node_count(); ++v) {
         if (cluster.role[v] != protocol::Role::kDominatee) continue;
-        for (const NodeId d : cluster.dominators_of[v]) g.add_edge(v, d);
+        for (const NodeId d : cluster.dominators_of[v]) {
+            links.emplace_back(std::min(v, d), std::max(v, d));
+        }
     }
-    return g;
+    return GeometricGraph::from_edge_union(base.points(), base.edges(), std::move(links));
 }
 
 Backbone build_backbone(const GeometricGraph& udg, BuildOptions options) {
@@ -102,17 +103,11 @@ Backbone build_backbone(const GeometricGraph& udg, BuildOptions options) {
                 ? proximity::planarize_triangles(result.icds,
                                                  proximity::ldel1_triangles(result.icds))
                 : proximity::ldel_k_triangles(result.icds, 2);
-        result.ldel_icds = proximity::build_gabriel(result.icds);
-        for (const auto& t : result.ldel_triangles) {
-            result.ldel_icds.add_edge(t.a, t.b);
-            result.ldel_icds.add_edge(t.b, t.c);
-            result.ldel_icds.add_edge(t.a, t.c);
-        }
+        result.ldel_icds = proximity::ldel_graph(result.icds, result.ldel_triangles);
     }
 
     result.is_connector = connectors.is_connector;
-    result.cds = GeometricGraph(udg.points());
-    for (const auto& [u, v] : connectors.cds_edges) result.cds.add_edge(u, v);
+    result.cds = GeometricGraph::from_edges(udg.points(), connectors.cds_edges);
 
     result.cds_prime = with_dominatee_links(result.cds, result.cluster);
     result.icds_prime = with_dominatee_links(result.icds, result.cluster);

@@ -91,8 +91,8 @@ struct BuildOptions {
 [[nodiscard]] graph::GeometricGraph induce_on_backbone(
     const graph::GeometricGraph& udg, const std::vector<bool>& in_backbone);
 
-/// Adds every dominatee→dominator link to a copy of `base` (the primed
-/// variants of the paper: CDS', ICDS', LDel(ICDS')).
+/// `base` plus every dominatee→dominator link (the primed variants of the
+/// paper: CDS', ICDS', LDel(ICDS')), assembled in bulk.
 [[nodiscard]] graph::GeometricGraph with_dominatee_links(
     const graph::GeometricGraph& base, const protocol::ClusterState& cluster);
 

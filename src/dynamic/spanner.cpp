@@ -170,8 +170,8 @@ void DynamicSpanner::append_node(geom::Point p) {
     backbone_.ldel_icds.add_node(p);
     backbone_.ldel_icds_prime.add_node(p);
     backbone_.cluster.role.push_back(Role::kDominatee);
-    backbone_.cluster.dominators_of.emplace_back();
-    backbone_.cluster.two_hop_dominators_of.emplace_back();
+    backbone_.cluster.dominators_of.append_list();
+    backbone_.cluster.two_hop_dominators_of.append_list();
     backbone_.is_connector.push_back(false);
     backbone_.in_backbone.push_back(false);
     connector_refs_.push_back(0);
@@ -198,8 +198,8 @@ void DynamicSpanner::rebuild_from_scratch(PatchStats& stats) {
 
     backbone_ = core::Backbone{};
     backbone_.cluster.role.assign(n, Role::kDominatee);
-    backbone_.cluster.dominators_of.assign(n, {});
-    backbone_.cluster.two_hop_dominators_of.assign(n, {});
+    backbone_.cluster.dominators_of = graph::NodeLists(n);
+    backbone_.cluster.two_hop_dominators_of = graph::NodeLists(n);
     backbone_.is_connector.assign(n, false);
     backbone_.in_backbone.assign(n, false);
     backbone_.cds = GeometricGraph(points_);
@@ -571,9 +571,11 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
                 if (cluster.role[u] == Role::kDominator) fresh.push_back(u);
             }
         }
-        if (fresh != cluster.dominators_of[v]) {
-            ctx.old_dominators.emplace(v, std::move(cluster.dominators_of[v]));
-            cluster.dominators_of[v] = fresh;
+        const auto current = cluster.dominators_of[v];
+        if (!std::ranges::equal(fresh, current)) {
+            ctx.old_dominators.emplace(
+                v, std::vector<NodeId>(current.begin(), current.end()));
+            cluster.dominators_of.assign(v, fresh);
             ctx.dom_list_changed.push_back(v);
             ctx.touch(v);
         }
@@ -599,8 +601,8 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
                 if (d != v && !udg_.has_edge(v, d)) sorted_insert(fresh, d);
             }
         }
-        if (fresh != cluster.two_hop_dominators_of[v]) {
-            cluster.two_hop_dominators_of[v] = fresh;
+        if (!std::ranges::equal(fresh, cluster.two_hop_dominators_of[v])) {
+            cluster.two_hop_dominators_of.assign(v, fresh);
             ctx.two_hop_changed.push_back(v);
             ctx.touch(v);
         }

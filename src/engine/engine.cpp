@@ -8,7 +8,6 @@
 #include "protocol/clustering.h"
 #include "protocol/connectors.h"
 #include "proximity/cell_grid.h"
-#include "proximity/classic.h"
 #include "proximity/ldel.h"
 #include "proximity/ldel_k.h"
 
@@ -392,12 +391,7 @@ core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGrap
     }
 
     start = Clock::now();
-    result.ldel_icds = proximity::build_gabriel(result.icds);
-    for (const auto& t : result.ldel_triangles) {
-        result.ldel_icds.add_edge(t.a, t.b);
-        result.ldel_icds.add_edge(t.b, t.c);
-        result.ldel_icds.add_edge(t.a, t.c);
-    }
+    result.ldel_icds = proximity::ldel_graph(result.icds, result.ldel_triangles);
 
     result.is_connector = connectors.is_connector;
     // cds_edges is sorted and duplicate-free by the connector stage's

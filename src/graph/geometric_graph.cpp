@@ -2,55 +2,35 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace geospanner::graph {
 
-namespace {
-
-/// Inserts value into a sorted vector, keeping it sorted; returns false if
-/// already present.
-bool sorted_insert(std::vector<NodeId>& list, NodeId value) {
-    const auto it = std::lower_bound(list.begin(), list.end(), value);
-    if (it != list.end() && *it == value) return false;
-    list.insert(it, value);
-    return true;
-}
-
-bool sorted_erase(std::vector<NodeId>& list, NodeId value) {
-    const auto it = std::lower_bound(list.begin(), list.end(), value);
-    if (it == list.end() || *it != value) return false;
-    list.erase(it);
-    return true;
-}
-
-}  // namespace
-
 NodeId GeometricGraph::add_node(geom::Point p) {
     points_.push_back(p);
-    adjacency_.emplace_back();
+    adjacency_.append_list();
     return static_cast<NodeId>(points_.size() - 1);
 }
 
 bool GeometricGraph::add_edge(NodeId u, NodeId v) {
     assert(u != v && u < node_count() && v < node_count());
-    if (!sorted_insert(adjacency_[u], v)) return false;
-    sorted_insert(adjacency_[v], u);
+    if (!adjacency_.insert(u, v)) return false;
+    adjacency_.insert(v, u);
     ++edge_count_;
     return true;
 }
 
 bool GeometricGraph::remove_edge(NodeId u, NodeId v) {
     assert(u < node_count() && v < node_count());
-    if (!sorted_erase(adjacency_[u], v)) return false;
-    sorted_erase(adjacency_[v], u);
+    if (!adjacency_.erase(u, v)) return false;
+    adjacency_.erase(v, u);
     --edge_count_;
     return true;
 }
 
 bool GeometricGraph::has_edge(NodeId u, NodeId v) const {
     if (u >= node_count() || v >= node_count()) return false;
-    const auto& list = adjacency_[u];
-    return std::binary_search(list.begin(), list.end(), v);
+    return adjacency_.contains(u, v);
 }
 
 std::vector<std::pair<NodeId, NodeId>> GeometricGraph::edges() const {
@@ -67,29 +47,47 @@ std::vector<std::pair<NodeId, NodeId>> GeometricGraph::edges() const {
 GeometricGraph GeometricGraph::from_edges(
     std::vector<geom::Point> points,
     const std::vector<std::pair<NodeId, NodeId>>& sorted_edges) {
-    GeometricGraph g(std::move(points));
     assert(std::is_sorted(sorted_edges.begin(), sorted_edges.end()) &&
            std::adjacent_find(sorted_edges.begin(), sorted_edges.end()) ==
                sorted_edges.end());
-    std::vector<std::size_t> degree(g.node_count(), 0);
+    const std::size_t n = points.size();
+    std::vector<std::size_t> offsets(n + 1, 0);
     for (const auto& [u, v] : sorted_edges) {
-        assert(u < v && v < g.node_count());
-        ++degree[u];
-        ++degree[v];
+        assert(u < v && v < n);
+        ++offsets[u + 1];
+        ++offsets[v + 1];
     }
-    for (NodeId v = 0; v < g.node_count(); ++v) g.adjacency_[v].reserve(degree[v]);
-    // Lower neighbors first (u ascends across the sorted list for any
-    // fixed v), then higher neighbors (v ascends within each u) — and
-    // every lower neighbor is < the node < every higher neighbor, so
-    // each adjacency list comes out sorted without a merge.
+    for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+    // One pass in lexicographic order: node x first receives its lower
+    // neighbors (pairs (w, x), ascending in w and all preceding the
+    // pairs (x, ·)), then its higher ones (pairs (x, y), ascending in
+    // y), so every list comes out sorted without a merge.
+    std::vector<NodeId> entries(offsets[n]);
+    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
     for (const auto& [u, v] : sorted_edges) {
-        g.adjacency_[v].push_back(u);
+        entries[cursor[u]++] = v;
+        entries[cursor[v]++] = u;
     }
-    for (const auto& [u, v] : sorted_edges) {
-        g.adjacency_[u].push_back(v);
-    }
+    GeometricGraph g;
+    g.points_ = std::move(points);
+    g.adjacency_ = NodeLists::from_csr(offsets, std::move(entries));
     g.edge_count_ = sorted_edges.size();
     return g;
+}
+
+GeometricGraph GeometricGraph::from_edge_union(
+    std::vector<geom::Point> points,
+    const std::vector<std::pair<NodeId, NodeId>>& sorted_edges,
+    std::vector<std::pair<NodeId, NodeId>> extra) {
+    std::sort(extra.begin(), extra.end());
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    edges.reserve(sorted_edges.size() + extra.size());
+    // set_union keeps one copy of an edge in both lists; unique drops the
+    // repeats within `extra`.
+    std::set_union(sorted_edges.begin(), sorted_edges.end(), extra.begin(), extra.end(),
+                   std::back_inserter(edges));
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    return from_edges(std::move(points), edges);
 }
 
 bool operator==(const GeometricGraph& a, const GeometricGraph& b) {

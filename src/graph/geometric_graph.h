@@ -11,15 +11,23 @@
 #include <vector>
 
 #include "geom/vec2.h"
+#include "graph/node_lists.h"
 
 namespace geospanner::graph {
 
-using NodeId = std::uint32_t;
 inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 
 /// Undirected graph on a fixed point set. Invariants: adjacency lists are
 /// sorted, duplicate-free, and symmetric (u in adj[v] iff v in adj[u]);
 /// no self-loops.
+///
+/// Adjacency lives in one NodeLists slab (node_lists.h), so copying a
+/// graph is a handful of flat vector copies. Span contract: add_edge,
+/// remove_edge and add_node may move the slab and invalidate every span
+/// returned by neighbors() before the call, for all nodes, not only the
+/// endpoints. A loop that mutates a graph while walking one of its
+/// neighbor lists must copy that list into a local first. set_point
+/// leaves spans valid.
 class GeometricGraph {
   public:
     GeometricGraph() = default;
@@ -36,6 +44,9 @@ class GeometricGraph {
         return adjacency_[v];
     }
     [[nodiscard]] std::size_t degree(NodeId v) const { return adjacency_[v].size(); }
+
+    /// Every adjacency list at once (read-only).
+    [[nodiscard]] const NodeLists& adjacency() const noexcept { return adjacency_; }
 
     /// Moves node v to `p`. Edges are untouched: callers maintaining a
     /// proximity graph (UDG) must re-derive the incident edge set
@@ -64,19 +75,29 @@ class GeometricGraph {
 
     /// Bulk construction from a lexicographically sorted, duplicate-free
     /// edge list with u < v per pair — the inverse of edges(). Equal to
-    /// add_edge-ing every pair, but O(nodes + edges) instead of paying a
-    /// sorted insert per edge; the merge step of the tile-sharded
-    /// builder assembles million-edge graphs through this.
+    /// add_edge-ing every pair, but O(nodes + edges), writing an
+    /// exact-capacity CSR slab with no list relocations; the engine's
+    /// assembly and the tile-sharded merge build their graphs this way.
     [[nodiscard]] static GeometricGraph from_edges(
         std::vector<geom::Point> points,
         const std::vector<std::pair<NodeId, NodeId>>& sorted_edges);
 
-    /// Structural equality: same points, same edge set.
+    /// from_edges of `sorted_edges` ∪ `extra`. `extra` holds u < v pairs in
+    /// any order, possibly repeated or already in `sorted_edges`; it is
+    /// sorted here, so bulk builders can append edges without sorting the
+    /// (already ordered) base list.
+    [[nodiscard]] static GeometricGraph from_edge_union(
+        std::vector<geom::Point> points,
+        const std::vector<std::pair<NodeId, NodeId>>& sorted_edges,
+        std::vector<std::pair<NodeId, NodeId>> extra);
+
+    /// Structural equality: same points, same edge set (whatever the slab
+    /// layouts left by the two graphs' mutation histories).
     friend bool operator==(const GeometricGraph& a, const GeometricGraph& b);
 
   private:
     std::vector<geom::Point> points_;
-    std::vector<std::vector<NodeId>> adjacency_;
+    NodeLists adjacency_;
     std::size_t edge_count_ = 0;
 };
 

@@ -8,23 +8,12 @@ namespace geospanner::protocol {
 
 using graph::GeometricGraph;
 
-namespace {
-
-bool sorted_insert(std::vector<NodeId>& list, NodeId value) {
-    const auto it = std::lower_bound(list.begin(), list.end(), value);
-    if (it != list.end() && *it == value) return false;
-    list.insert(it, value);
-    return true;
-}
-
-}  // namespace
-
 ClusterState run_async_clustering(AsyncNet& net, const GeometricGraph& udg) {
     const auto n = static_cast<NodeId>(udg.node_count());
     ClusterState state;
     state.role.assign(n, Role::kDominatee);
-    state.dominators_of.resize(n);
-    state.two_hop_dominators_of.resize(n);
+    state.dominators_of = graph::NodeLists(n);
+    state.two_hop_dominators_of = graph::NodeLists(n);
 
     std::vector<char> white(n, 1);
     // Smaller-id neighbors whose decision v has not yet heard about.
@@ -62,7 +51,7 @@ ClusterState run_async_clustering(AsyncNet& net, const GeometricGraph& udg) {
                 state.role[v] = Role::kDominatee;
             }
             if (state.role[v] == Role::kDominatee &&
-                sorted_insert(state.dominators_of[v], env.from)) {
+                state.dominators_of.insert(v, env.from)) {
                 // This broadcast also tells v's waiting neighbors that v
                 // has decided.
                 net.broadcast(v, IamDominatee{env.from});
@@ -70,7 +59,7 @@ ClusterState run_async_clustering(AsyncNet& net, const GeometricGraph& udg) {
         } else if (const auto* msg = std::get_if<IamDominatee>(&env.payload)) {
             const NodeId d = msg->dominator;
             if (d != v && !udg.has_edge(v, d)) {
-                sorted_insert(state.two_hop_dominators_of[v], d);
+                state.two_hop_dominators_of.insert(v, d);
             }
             on_neighbor_decided(env.from);
         }

@@ -18,11 +18,12 @@ enum class Role : std::uint8_t {
 /// dominatee, `dominators_of` lists its adjacent dominators (<= 5 by
 /// Lemma 1) and `two_hop_dominators_of` the dominators exactly two hops
 /// away that it learned about from neighbors' IamDominatee broadcasts.
-/// Lists are sorted by node id.
+/// Lists are sorted by node id and share the flat slab representation
+/// (and span-invalidation contract) of graph adjacency.
 struct ClusterState {
     std::vector<Role> role;
-    std::vector<std::vector<graph::NodeId>> dominators_of;
-    std::vector<std::vector<graph::NodeId>> two_hop_dominators_of;
+    graph::NodeLists dominators_of;
+    graph::NodeLists two_hop_dominators_of;
 
     [[nodiscard]] bool is_dominator(graph::NodeId v) const {
         return role[v] == Role::kDominator;

@@ -10,14 +10,6 @@ using graph::GeometricGraph;
 
 namespace {
 
-/// Inserts v into a sorted unique vector; returns true if newly added.
-bool sorted_insert(std::vector<NodeId>& list, NodeId value) {
-    const auto it = std::lower_bound(list.begin(), list.end(), value);
-    if (it != list.end() && *it == value) return false;
-    list.insert(it, value);
-    return true;
-}
-
 /// Election ranking: smaller key wins. kLowestId ranks by id alone;
 /// kHighestDegree prefers larger degree, then smaller id.
 struct Key {
@@ -45,7 +37,7 @@ void derive_lists(const GeometricGraph& udg, ClusterState& state) {
     for (NodeId v = 0; v < n; ++v) {
         if (state.role[v] != Role::kDominatee) continue;
         for (const NodeId u : udg.neighbors(v)) {
-            if (state.role[u] == Role::kDominator) state.dominators_of[v].push_back(u);
+            if (state.role[u] == Role::kDominator) state.dominators_of.insert(v, u);
         }
     }
     for (NodeId v = 0; v < n; ++v) {
@@ -53,7 +45,7 @@ void derive_lists(const GeometricGraph& udg, ClusterState& state) {
             if (state.role[w] != Role::kDominatee) continue;
             for (const NodeId d : state.dominators_of[w]) {
                 if (d != v && !udg.has_edge(v, d)) {
-                    sorted_insert(state.two_hop_dominators_of[v], d);
+                    state.two_hop_dominators_of.insert(v, d);
                 }
             }
         }
@@ -66,8 +58,8 @@ ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy p
     const auto n = static_cast<NodeId>(udg.node_count());
     ClusterState state;
     state.role.assign(n, Role::kDominatee);
-    state.dominators_of.resize(n);
-    state.two_hop_dominators_of.resize(n);
+    state.dominators_of = graph::NodeLists(n);
+    state.two_hop_dominators_of = graph::NodeLists(n);
 
     // Per-node protocol state: whiteness of self and of each neighbor as
     // currently known (updated from received announcements). Election
@@ -99,14 +91,14 @@ ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy p
                         state.role[v] = Role::kDominatee;
                     }
                     if (state.role[v] == Role::kDominatee &&
-                        sorted_insert(state.dominators_of[v], env.from)) {
+                        state.dominators_of.insert(v, env.from)) {
                         net.broadcast(v, IamDominatee{env.from});
                     }
                 } else if (const auto* msg = std::get_if<IamDominatee>(&env.payload)) {
                     white_neighbors[v].erase(key_of(udg, env.from, policy));
                     const NodeId d = msg->dominator;
                     if (d != v && !udg.has_edge(v, d)) {
-                        sorted_insert(state.two_hop_dominators_of[v], d);
+                        state.two_hop_dominators_of.insert(v, d);
                     }
                 }
             }
@@ -133,8 +125,8 @@ ClusterState cluster_reference(const GeometricGraph& udg, ClusterPolicy policy) 
     const auto n = static_cast<NodeId>(udg.node_count());
     ClusterState state;
     state.role.assign(n, Role::kDominatee);
-    state.dominators_of.resize(n);
-    state.two_hop_dominators_of.resize(n);
+    state.dominators_of = graph::NodeLists(n);
+    state.two_hop_dominators_of = graph::NodeLists(n);
 
     // Synchronized rounds: in each round, every white node that is a
     // local optimum among white neighbors becomes a dominator; its white
@@ -179,8 +171,8 @@ ClusterState lowest_id_mis(const GeometricGraph& udg) {
     const auto n = static_cast<NodeId>(udg.node_count());
     ClusterState state;
     state.role.assign(n, Role::kDominatee);
-    state.dominators_of.resize(n);
-    state.two_hop_dominators_of.resize(n);
+    state.dominators_of = graph::NodeLists(n);
+    state.two_hop_dominators_of = graph::NodeLists(n);
 
     // Lexicographically-first MIS: in increasing id order, v becomes a
     // dominator iff no smaller-id neighbor already is one.

@@ -8,7 +8,7 @@
 
 #include "delaunay/delaunay.h"
 #include "geom/vec2.h"
-#include "proximity/classic.h"
+#include "proximity/ldel.h"
 
 namespace geospanner::protocol {
 
@@ -164,12 +164,7 @@ LDelState run_ldel2(Net& net, const GeometricGraph& g, bool announce_positions) 
     }
     result.triangles.assign(final_set.begin(), final_set.end());
 
-    result.graph = proximity::build_gabriel(g);
-    for (const TriangleKey& t : result.triangles) {
-        result.graph.add_edge(t.a, t.b);
-        result.graph.add_edge(t.b, t.c);
-        result.graph.add_edge(t.a, t.c);
-    }
+    result.graph = proximity::ldel_graph(g, result.triangles);
     return result;
 }
 

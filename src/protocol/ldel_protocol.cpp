@@ -6,7 +6,7 @@
 #include <set>
 
 #include "geom/vec2.h"
-#include "proximity/classic.h"
+#include "proximity/ldel.h"
 
 namespace geospanner::protocol {
 
@@ -187,12 +187,7 @@ LDelState run_ldel(Net& net, const GeometricGraph& g, bool announce_positions) {
     }
     result.triangles.assign(final_set.begin(), final_set.end());
 
-    result.graph = proximity::build_gabriel(g);
-    for (const TriangleKey& t : result.triangles) {
-        result.graph.add_edge(t.a, t.b);
-        result.graph.add_edge(t.b, t.c);
-        result.graph.add_edge(t.a, t.c);
-    }
+    result.graph = proximity::ldel_graph(g, result.triangles);
     return result;
 }
 

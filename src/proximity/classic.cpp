@@ -96,7 +96,11 @@ GeometricGraph build_rng(const GeometricGraph& udg) {
 }
 
 GeometricGraph build_gabriel(const GeometricGraph& udg) {
-    GeometricGraph g(udg.points());
+    return GeometricGraph::from_edges(udg.points(), gabriel_edges(udg));
+}
+
+std::vector<std::pair<NodeId, NodeId>> gabriel_edges(const GeometricGraph& udg) {
+    std::vector<std::pair<NodeId, NodeId>> kept;
     for (const auto& [u, v] : udg.edges()) {
         bool blocked = false;
         // A witness anywhere in the *closed* diametral disk blocks the
@@ -112,9 +116,9 @@ GeometricGraph build_gabriel(const GeometricGraph& udg) {
                 blocked = true;
             }
         });
-        if (!blocked) g.add_edge(u, v);
+        if (!blocked) kept.emplace_back(u, v);
     }
-    return g;
+    return kept;
 }
 
 GeometricGraph build_yao(const GeometricGraph& udg, int cones) {

@@ -13,6 +13,9 @@
 // the induced backbone graph ICDS.
 #pragma once
 
+#include <utility>
+#include <vector>
+
 #include "graph/geometric_graph.h"
 
 namespace geospanner::proximity {
@@ -24,6 +27,11 @@ namespace geospanner::proximity {
 /// Gabriel graph restricted to UDG edges: keep edge (u, v) iff the open
 /// disk with diameter uv contains no node. Exact predicate.
 [[nodiscard]] graph::GeometricGraph build_gabriel(const graph::GeometricGraph& udg);
+
+/// The Gabriel edges alone, in GeometricGraph::edges() order (the bulk
+/// input of from_edges, for callers that union them with more edges).
+[[nodiscard]] std::vector<std::pair<graph::NodeId, graph::NodeId>> gabriel_edges(
+    const graph::GeometricGraph& udg);
 
 /// Yao graph with `cones` equal sectors per node: each node keeps its
 /// shortest UDG edge in every sector (ties broken by smaller node id);

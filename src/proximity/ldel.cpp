@@ -88,17 +88,6 @@ PairRemoval alg3_pair(const TrianglePoints& s, const TrianglePoints& t) {
     return {remove_s, remove_t};
 }
 
-GeometricGraph graph_from(const GeometricGraph& udg,
-                          const std::vector<TriangleKey>& triangles) {
-    GeometricGraph g = build_gabriel(udg);
-    for (const auto& t : triangles) {
-        g.add_edge(t.a, t.b);
-        g.add_edge(t.b, t.c);
-        g.add_edge(t.a, t.c);
-    }
-    return g;
-}
-
 }  // namespace
 
 std::vector<TriangleKey> local_triangles_at(const GeometricGraph& udg, NodeId u) {
@@ -321,12 +310,25 @@ std::vector<TriangleKey> planarize_triangles(const GeometricGraph& udg,
     return kept;
 }
 
+GeometricGraph ldel_graph(const GeometricGraph& udg,
+                          const std::vector<TriangleKey>& triangles) {
+    std::vector<std::pair<NodeId, NodeId>> sides;
+    sides.reserve(3 * triangles.size());
+    for (const auto& t : triangles) {
+        sides.emplace_back(t.a, t.b);
+        sides.emplace_back(t.b, t.c);
+        sides.emplace_back(t.a, t.c);
+    }
+    return GeometricGraph::from_edge_union(udg.points(), gabriel_edges(udg),
+                                           std::move(sides));
+}
+
 GeometricGraph build_ldel1(const GeometricGraph& udg) {
-    return graph_from(udg, ldel1_triangles(udg));
+    return ldel_graph(udg, ldel1_triangles(udg));
 }
 
 GeometricGraph build_pldel(const GeometricGraph& udg) {
-    return graph_from(udg, planarize_triangles(udg, ldel1_triangles(udg)));
+    return ldel_graph(udg, planarize_triangles(udg, ldel1_triangles(udg)));
 }
 
 }  // namespace geospanner::proximity

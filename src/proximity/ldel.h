@@ -148,6 +148,12 @@ class Alg3Filter {
     std::vector<std::uint32_t> cell_items_;
 };
 
+/// Gabriel edges of `udg` plus the three sides of every triangle — the
+/// graph every LDel variant assembles from its triangle set. Built in
+/// bulk through GeometricGraph::from_edge_union.
+[[nodiscard]] graph::GeometricGraph ldel_graph(const graph::GeometricGraph& udg,
+                                               const std::vector<TriangleKey>& triangles);
+
 /// LDel⁽¹⁾(V): Gabriel edges plus edges of all 1-localized Delaunay
 /// triangles. Thickness 2; not necessarily planar.
 [[nodiscard]] graph::GeometricGraph build_ldel1(const graph::GeometricGraph& udg);

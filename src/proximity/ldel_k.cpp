@@ -4,7 +4,6 @@
 
 #include "geom/predicates.h"
 #include "graph/khop.h"
-#include "proximity/classic.h"
 
 namespace geospanner::proximity {
 
@@ -42,13 +41,7 @@ std::vector<TriangleKey> ldel_k_triangles(const GeometricGraph& udg, int k) {
 }
 
 GeometricGraph build_ldel_k(const GeometricGraph& udg, int k) {
-    GeometricGraph g = build_gabriel(udg);
-    for (const TriangleKey& t : ldel_k_triangles(udg, k)) {
-        g.add_edge(t.a, t.b);
-        g.add_edge(t.b, t.c);
-        g.add_edge(t.a, t.c);
-    }
-    return g;
+    return ldel_graph(udg, ldel_k_triangles(udg, k));
 }
 
 }  // namespace geospanner::proximity

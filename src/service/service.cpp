@@ -1,5 +1,6 @@
 #include "service/service.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -132,10 +133,14 @@ void SpannerService::process(Ingest& ingest) {
         batch.moves.size() + batch.joins.size() + batch.leaves.size();
     const std::lock_guard<std::mutex> lock(state_mutex_);
 
+    // Each outcome below updates its counters in one stats_mutex_
+    // section, so stats() never sees a half-counted batch.
     const std::string invalid = validate_batch(batch, spanner_->node_count());
     if (!invalid.empty()) {
         // Caught before apply: state untouched, nothing to roll back.
         record_quarantine(invalid, batch, /*rolled_back=*/false);
+        const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+        ++batches_quarantined_;
         return;
     }
 
@@ -143,20 +148,22 @@ void SpannerService::process(Ingest& ingest) {
     dynamic::PatchStats pstats;
     if (options_.watchdog_ms > 0.0) {
         if (!apply_with_watchdog(batch, pstats)) {
-            ++watchdog_timeouts_;
             rebuild_from_last_good();
             record_quarantine("watchdog: apply exceeded " +
                                   std::to_string(options_.watchdog_ms) + " ms",
                               batch, /*rolled_back=*/true);
-            ++version_;
             cached_.reset();
+            const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+            ++batches_quarantined_;
+            ++watchdog_timeouts_;
+            ++version_;
             return;
         }
     } else {
         if (options_.apply_hook) options_.apply_hook(batch);
         pstats = spanner_->apply(batch);
     }
-    apply_ms_total_ += ms_between(t0, std::chrono::steady_clock::now());
+    const double apply_ms = ms_between(t0, std::chrono::steady_clock::now());
 
     bool gate_ran = false;
     if (gate_configured_) {
@@ -168,20 +175,27 @@ void SpannerService::process(Ingest& ingest) {
             if (!reason.empty()) {
                 rebuild_from_last_good();
                 record_quarantine(std::move(reason), batch, /*rolled_back=*/true);
-                ++version_;
                 cached_.reset();
+                const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+                apply_ms_total_ += apply_ms;
+                ++batches_quarantined_;
+                ++version_;
                 return;
             }
         }
     }
 
-    ++version_;
-    ++batches_applied_;
     cached_.reset();  // Next reader copies the new topology.
-    updates_applied_ += updates;
-    if (pstats.fell_back) ++fallbacks_;
-    components_patched_ += pstats.components.size();
-    component_fallbacks_ += pstats.component_fallbacks;
+    {
+        const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+        apply_ms_total_ += apply_ms;
+        ++version_;
+        ++batches_applied_;
+        updates_applied_ += updates;
+        if (pstats.fell_back) ++fallbacks_;
+        components_patched_ += pstats.components.size();
+        component_fallbacks_ += pstats.component_fallbacks;
+    }
     // The rollback target only advances past states the gate actually
     // certified (or every applied state when no gate is configured).
     if (track_last_good_ && (!gate_configured_ || gate_ran)) {
@@ -256,12 +270,12 @@ void SpannerService::record_quarantine(std::string reason,
     report.leaves = batch.leaves.size();
     report.rolled_back = rolled_back;
     quarantine_reports_.push_back(std::move(report));
-    ++batches_quarantined_;
 }
 
 SnapshotHandle SpannerService::snapshot() {
     const std::lock_guard<std::mutex> lock(state_mutex_);
     if (!cached_) {
+        const auto t0 = std::chrono::steady_clock::now();
         auto snap = std::make_shared<Snapshot>();
         snap->version = version_;
         snap->points = spanner_->positions();
@@ -269,7 +283,9 @@ SnapshotHandle SpannerService::snapshot() {
         snap->udg = spanner_->udg();
         snap->backbone = spanner_->backbone();
         cached_ = std::move(snap);
+        const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
         ++snapshots_published_;
+        snapshot_ms_total_ += ms_between(t0, std::chrono::steady_clock::now());
     }
     return cached_;
 }
@@ -277,7 +293,10 @@ SnapshotHandle SpannerService::snapshot() {
 void SpannerService::drain() {
     std::unique_lock<std::mutex> lock(drain_mutex_);
     const std::uint64_t target = enqueued_;
-    drained_.wait(lock, [&] { return applied_ >= target; });
+    // `target` may count an enqueue still in flight that the queue then
+    // refuses (stop() closed it): enqueue() withdraws that count again,
+    // and applied_ never reaches the original target.
+    drained_.wait(lock, [&] { return applied_ >= std::min(target, enqueued_); });
 }
 
 void SpannerService::stop() {
@@ -295,7 +314,7 @@ void SpannerService::stop() {
 ServiceStats SpannerService::stats() const {
     ServiceStats out;
     {
-        const std::lock_guard<std::mutex> lock(state_mutex_);
+        const std::lock_guard<std::mutex> lock(stats_mutex_);
         out.batches_applied = batches_applied_;
         out.updates_applied = updates_applied_;
         out.fallbacks = fallbacks_;
@@ -306,6 +325,7 @@ ServiceStats SpannerService::stats() const {
         out.watchdog_timeouts = watchdog_timeouts_;
         out.version = version_;
         out.apply_ms_total = apply_ms_total_;
+        out.snapshot_ms_total = snapshot_ms_total_;
         const double elapsed_ms =
             ms_between(start_, std::chrono::steady_clock::now());
         out.updates_per_sec = elapsed_ms <= 0.0

@@ -4,7 +4,7 @@
 // order through the incremental patcher; readers take versioned
 // copy-on-write snapshots that stay immutable while patches land.
 //
-// Consistency contract: a SnapshotHandle is a deep copy of the
+// Consistency contract: a SnapshotHandle is a full copy of the
 // maintained (positions, UDG, backbone) triple taken between batch
 // applications under the state lock — a reader can never observe a
 // half-applied batch, and a held snapshot never changes underneath its
@@ -12,6 +12,14 @@
 // bump) and shared: back-to-back readers between two batches get the
 // same handle, so an idle service costs one copy per applied batch at
 // most, not one per read.
+//
+// The copy is flat: every graph and cluster list stores its per-node
+// lists in one graph::NodeLists slab, so copying the state is a few
+// vector copies per structure rather than one allocation per node and
+// list. At n = 20k (uniform, degree ~12; 4-vCPU Xeon, gcc 12 Release)
+// the uncontended copy fell from a median 31.8 ms with per-node heap
+// vectors to 3.0 ms (55.2 ms to 3.2 ms while the host ran slower).
+// ServiceStats::snapshot_ms_total accumulates it.
 //
 // Hardening (ServiceOptions, all off by default):
 //   * Bounded ingest queue with explicit backpressure — block the
@@ -34,8 +42,12 @@
 // any thread. The ingest worker drives the engine ThreadPool for the
 // bulk kernels; concurrent external drivers (e.g. a reader rebuilding a
 // reference on the same engine) are serialized by the pool itself.
-// snapshot()/stats() block while a batch is mid-apply (bounded by the
-// watchdog when one is configured). stop() returns only after enqueues
+// snapshot() blocks while a batch is mid-apply (bounded by the
+// watchdog when one is configured); stats() does not, since the counters
+// have their own lock. Each applied or quarantined batch updates all of
+// its counters in one step under that lock, so version, applied,
+// quarantined and the time totals in stats() agree with each other; the
+// producer-side counters are read separately. stop() returns only after enqueues
 // are rejected, the backlog is drained, and the worker has exited; it
 // also reaps any orphaned applier threads, so a wedged apply must
 // terminate eventually for stop() to return.
@@ -64,7 +76,7 @@ namespace geospanner::service {
 
 /// One immutable published topology: the version counter (bumped on
 /// every published-state change, including quarantine rollbacks) plus
-/// deep copies of the maintained state. Shared between all readers of
+/// flat copies of the maintained state. Shared between all readers of
 /// that version.
 struct Snapshot {
     std::uint64_t version = 0;
@@ -140,6 +152,8 @@ struct ServiceStats {
     std::uint64_t version = 0;       ///< published-state changes so far
     double updates_per_sec = 0.0;    ///< applied updates over service lifetime
     double apply_ms_total = 0.0;     ///< wall time inside DynamicSpanner::apply
+    /// Wall time spent copying inside snapshot(), under the state lock.
+    double snapshot_ms_total = 0.0;
 };
 
 /// Owns the maintained spanner and the ingest worker thread. The engine
@@ -215,6 +229,7 @@ class SpannerService {
     /// "" = healthy; otherwise the quarantine reason.
     [[nodiscard]] std::string run_gate();
     void rebuild_from_last_good();
+    /// Appends the report only; the caller counts the batch.
     void record_quarantine(std::string reason, const dynamic::UpdateBatch& batch,
                            bool rolled_back);
 
@@ -227,10 +242,18 @@ class SpannerService {
     UpdateQueue<Ingest> queue_;
     std::thread worker_;
 
-    /// Guards spanner_, cached_, last_good_points_, quarantine_reports_,
-    /// and the stats counters below.
+    /// Guards spanner_, cached_, gate_counter_, last_good_points_ and
+    /// quarantine_reports_.
     mutable std::mutex state_mutex_;
     SnapshotHandle cached_;  ///< snapshot of `version_`; null when stale
+    std::uint64_t gate_counter_ = 0;
+    std::vector<geom::Point> last_good_points_;  ///< rollback target
+    std::vector<QuarantineReport> quarantine_reports_;
+
+    /// Guards the counters below, so stats() never waits behind an apply.
+    /// Writers hold state_mutex_ too (lock order: state, then stats), so
+    /// code under state_mutex_ may read them without this lock.
+    mutable std::mutex stats_mutex_;
     std::uint64_t version_ = 0;
     std::uint64_t batches_applied_ = 0;
     std::uint64_t updates_applied_ = 0;
@@ -240,10 +263,8 @@ class SpannerService {
     std::uint64_t snapshots_published_ = 0;
     std::uint64_t batches_quarantined_ = 0;
     std::uint64_t watchdog_timeouts_ = 0;
-    std::uint64_t gate_counter_ = 0;
     double apply_ms_total_ = 0.0;
-    std::vector<geom::Point> last_good_points_;  ///< rollback target
-    std::vector<QuarantineReport> quarantine_reports_;
+    double snapshot_ms_total_ = 0.0;
 
     /// Producer-side counters (outside the state lock).
     std::atomic<std::uint64_t> batches_rejected_{0};

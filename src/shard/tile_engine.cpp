@@ -73,17 +73,17 @@ protocol::ClusterState restrict_cluster(const protocol::ClusterState& global,
     protocol::ClusterState local;
     const std::size_t m = region.size();
     local.role.resize(m);
-    local.dominators_of.resize(m);
-    local.two_hop_dominators_of.resize(m);
+    local.dominators_of = graph::NodeLists(m);
+    local.two_hop_dominators_of = graph::NodeLists(m);
     for (std::size_t i = 0; i < m; ++i) {
         const NodeId g = region[i];
         local.role[i] = global.role[g];
         for (const NodeId d : global.dominators_of[g]) {
-            if (in_list(region, d)) local.dominators_of[i].push_back(local_of(region, d));
+            if (in_list(region, d)) local.dominators_of.insert(i, local_of(region, d));
         }
         for (const NodeId d : global.two_hop_dominators_of[g]) {
             if (in_list(region, d)) {
-                local.two_hop_dominators_of[i].push_back(local_of(region, d));
+                local.two_hop_dominators_of.insert(i, local_of(region, d));
             }
         }
     }

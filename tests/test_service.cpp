@@ -193,6 +193,81 @@ TEST(SpannerService, SnapshotsAreSharedBetweenBatchesAndImmutableAcross) {
     EXPECT_EQ(snapshot_divergence(*c), "");
 }
 
+/// Every list a snapshot exposes, copied out of it: the edges of the UDG
+/// and the six backbone graphs, and both cluster lists per node.
+struct RecordedLists {
+    std::vector<std::vector<std::pair<NodeId, NodeId>>> edges;
+    std::vector<std::vector<NodeId>> dominators;
+    std::vector<std::vector<NodeId>> two_hop_dominators;
+};
+
+RecordedLists record_lists(const Snapshot& snap) {
+    const core::Backbone& bb = snap.backbone;
+    RecordedLists out;
+    for (const graph::GeometricGraph* g : {&snap.udg, &bb.cds, &bb.cds_prime, &bb.icds,
+                                           &bb.icds_prime, &bb.ldel_icds,
+                                           &bb.ldel_icds_prime}) {
+        out.edges.push_back(g->edges());
+    }
+    for (NodeId v = 0; v < snap.udg.node_count(); ++v) {
+        const auto doms = bb.cluster.dominators_of[v];
+        const auto two_hop = bb.cluster.two_hop_dominators_of[v];
+        out.dominators.emplace_back(doms.begin(), doms.end());
+        out.two_hop_dominators.emplace_back(two_hop.begin(), two_hop.end());
+    }
+    return out;
+}
+
+TEST(SpannerService, HeldSnapshotListsUnchangedByLaterBatches) {
+    const auto udg = test::connected_udg(80, 240.0, kRadius, 41);
+    ASSERT_GT(udg.node_count(), 0u);
+    engine::SpannerEngine engine(
+        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    SpannerService service(engine, udg.points(), kRadius);
+    service.drain();
+    const SnapshotHandle held = service.snapshot();
+    const RecordedLists at_take = record_lists(*held);
+
+    // Batches move held-snapshot nodes together with their held-time
+    // neighbours, so the live adjacency and cluster lists that the
+    // snapshot was copied from grow, shrink and move in their slabs.
+    rnd::Xoshiro256 rng(99);
+    const auto n = static_cast<NodeId>(udg.node_count());
+    for (int round = 0; round < 6; ++round) {
+        for (NodeId v = static_cast<NodeId>(round); v < n; v += 7) {
+            dynamic::UpdateBatch batch;
+            for (const NodeId u : held->udg.neighbors(v)) {
+                const geom::Point p = udg.point(u);
+                batch.moves.push_back(
+                    {u, {p.x + rng.uniform(-20.0, 20.0), p.y + rng.uniform(-20.0, 20.0)}});
+            }
+            const geom::Point p = udg.point(v);
+            batch.moves.push_back(
+                {v, {p.x + rng.uniform(-20.0, 20.0), p.y + rng.uniform(-20.0, 20.0)}});
+            ASSERT_TRUE(service.enqueue(std::move(batch)));
+            // Interleaved reads publish intermediate versions too.
+            if (v % 3 == 0) (void)service.snapshot();
+        }
+    }
+    service.drain();
+    const SnapshotHandle latest = service.snapshot();
+    ASSERT_GT(latest->version, held->version);
+    ASSERT_NE(latest->udg.edges(), at_take.edges[0]) << "the batches changed nothing";
+
+    const RecordedLists now = record_lists(*held);
+    const char* const names[] = {"udg",        "cds",       "cds_prime",      "icds",
+                                 "icds_prime", "ldel_icds", "ldel_icds_prime"};
+    for (std::size_t i = 0; i < at_take.edges.size(); ++i) {
+        EXPECT_EQ(now.edges[i], at_take.edges[i]) << names[i];
+    }
+    EXPECT_EQ(now.dominators, at_take.dominators);
+    EXPECT_EQ(now.two_hop_dominators, at_take.two_hop_dominators);
+    EXPECT_EQ(held->points, udg.points());
+    EXPECT_EQ(snapshot_divergence(*held), "");
+    EXPECT_EQ(snapshot_divergence(*latest), "");
+    EXPECT_GT(service.stats().snapshot_ms_total, 0.0);
+}
+
 TEST(SpannerService, StopRejectsFurtherEnqueuesButDrainsBacklog) {
     const auto udg = test::connected_udg(40, 180.0, kRadius, 29);
     ASSERT_GT(udg.node_count(), 0u);
