@@ -1,7 +1,6 @@
 #include "backends/baswana_sen.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <unordered_map>
 #include <utility>
@@ -15,12 +14,6 @@ using graph::GeometricGraph;
 using graph::NodeId;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
 
 /// Strict total order on the edges incident to one fixed vertex:
 /// (length, neighbor id). Unique because a neighbor appears once.
@@ -56,7 +49,7 @@ BackendResult BaswanaSenBackend::build(const GeometricGraph& udg, double /*radiu
     if (n == 0) return result;
 
     rnd::Xoshiro256 rng(seed_);
-    auto start = Clock::now();
+    auto start = core::StageClock::now();
 
     // Residual graph (mutated by deletions) and the current clustering.
     std::vector<std::unordered_map<NodeId, double>> adj(n);
@@ -161,12 +154,11 @@ BackendResult BaswanaSenBackend::build(const GeometricGraph& udg, double /*radiu
         delete_edges(doomed);
         center = std::move(new_center);
     }
-    result.stats.stages.push_back(
-        {"cluster", ms_since(start), result.spanner.edge_count(), 1});
+    core::push_stage(&result.stats, "cluster", start, result.spanner.edge_count(), 1);
 
     // Phase 2: vertex-cluster joining — lightest remaining edge per
     // adjacent cluster.
-    start = Clock::now();
+    start = core::StageClock::now();
     std::size_t joined = 0;
     for (NodeId v = 0; v < n; ++v) {
         std::unordered_map<NodeId, IncidentEdge> best;
@@ -181,7 +173,7 @@ BackendResult BaswanaSenBackend::build(const GeometricGraph& udg, double /*radiu
             joined += result.spanner.add_edge(v, e.neighbor) ? 1 : 0;
         }
     }
-    result.stats.stages.push_back({"join", ms_since(start), joined, 1});
+    core::push_stage(&result.stats, "join", start, joined, 1);
     return result;
 }
 

@@ -1,7 +1,6 @@
 #include "backends/biniaz.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -18,12 +17,6 @@ using graph::GeometricGraph;
 using graph::NodeId;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
 
 std::uint64_t cell_key(std::int64_t cx, std::int64_t cy) {
     return (static_cast<std::uint64_t>(cx) << 32) ^
@@ -111,18 +104,16 @@ verify::BackendClaims BiniazBackend::claims() const {
 
 BackendResult BiniazBackend::build(const GeometricGraph& udg, double radius) {
     BackendResult result;
-    auto& stats = result.stats.stages;
-
     // Stage 1: Gabriel seed — plane, connected, a UDG subgraph.
-    auto start = Clock::now();
+    auto start = core::StageClock::now();
     result.spanner = proximity::build_gabriel(udg);
-    stats.push_back({"gabriel", ms_since(start), result.spanner.edge_count(), 1});
+    core::push_stage(&result.stats, "gabriel", start, result.spanner.edge_count(), 1);
 
     if (radius <= 0.0 || udg.node_count() == 0) return result;
 
     // Stage 2: grid — cliques cells, hub stars, shortest inter-cell
     // bridges.
-    start = Clock::now();
+    start = core::StageClock::now();
     const double side = radius / std::sqrt(2.0);
     const auto n = static_cast<NodeId>(udg.node_count());
     std::vector<std::pair<std::int64_t, std::int64_t>> cell_of(n);
@@ -157,10 +148,10 @@ BackendResult BiniazBackend::build(const GeometricGraph& udg, double radius) {
     }
     for (const auto& [cells, cand] : bridges) candidates.push_back(cand);
     std::sort(candidates.begin(), candidates.end());
-    stats.push_back({"grid", ms_since(start), candidates.size(), 1});
+    core::push_stage(&result.stats, "grid", start, candidates.size(), 1);
 
     // Stage 3: shortest-first insertion, keeping the embedding plane.
-    start = Clock::now();
+    start = core::StageClock::now();
     CrossingIndex index(udg, radius);
     for (const auto& [u, v] : result.spanner.edges()) index.insert(u, v);
     std::size_t added = 0;
@@ -171,7 +162,7 @@ BackendResult BiniazBackend::build(const GeometricGraph& udg, double radius) {
         index.insert(cand.u, cand.v);
         ++added;
     }
-    stats.push_back({"augment", ms_since(start), added, 1});
+    core::push_stage(&result.stats, "augment", start, added, 1);
     return result;
 }
 

@@ -1,7 +1,6 @@
 #include "backends/kanj_perkovic.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -15,12 +14,6 @@ using graph::GeometricGraph;
 using graph::NodeId;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
 
 /// Cone index of the direction u -> v among `cones` equal sectors
 /// anchored at angle 0. Deterministic: atan2 is exact enough for a
@@ -66,21 +59,19 @@ verify::BackendClaims KanjPerkovicBackend::claims() const {
 
 BackendResult KanjPerkovicBackend::build(const GeometricGraph& udg, double /*radius*/) {
     BackendResult result;
-    auto& stats = result.stats.stages;
-
     // Stage 1: PLDel over the full node set — Gabriel edges plus the
     // edges of the Algorithm-3 survivors (the pipeline's LDel assembly,
     // applied to the UDG instead of the ICDS).
-    auto start = Clock::now();
+    auto start = core::StageClock::now();
     const auto triangles =
         proximity::planarize_triangles(udg, proximity::ldel1_triangles(udg));
     const GeometricGraph pldel = proximity::ldel_graph(udg, triangles);
-    stats.push_back({"pldel", ms_since(start), pldel.edge_count(), 1});
+    core::push_stage(&result.stats, "pldel", start, pldel.edge_count(), 1);
 
     // Stage 2: mutual Yao — per node, the shortest incident PLDel edge
     // in each of `cones_` sectors (ties to the smaller neighbor id); an
     // edge survives only if both endpoints selected it.
-    start = Clock::now();
+    start = core::StageClock::now();
     const auto n = static_cast<NodeId>(udg.node_count());
     std::vector<std::vector<NodeId>> selected(n);
     for (NodeId u = 0; u < n; ++u) {
@@ -114,12 +105,12 @@ BackendResult KanjPerkovicBackend::build(const GeometricGraph& udg, double /*rad
             dropped.push_back({pldel.edge_length(u, v), u, v});
         }
     }
-    stats.push_back({"yao", ms_since(start), result.spanner.edge_count(), 1});
+    core::push_stage(&result.stats, "yao", start, result.spanner.edge_count(), 1);
 
     // Stage 3: repair — dropped PLDel edges, shortest first, re-added
     // whenever they join two components (the stand-in for the paper's
     // canonical paths; still a PLDel subgraph, so still plane).
-    start = Clock::now();
+    start = core::StageClock::now();
     std::sort(dropped.begin(), dropped.end());
     graph::UnionFind uf(n);
     for (const auto& [u, v] : result.spanner.edges()) uf.unite(u, v);
@@ -130,7 +121,7 @@ BackendResult KanjPerkovicBackend::build(const GeometricGraph& udg, double /*rad
             ++repaired;
         }
     }
-    stats.push_back({"repair", ms_since(start), repaired, 1});
+    core::push_stage(&result.stats, "repair", start, repaired, 1);
     return result;
 }
 

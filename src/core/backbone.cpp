@@ -27,24 +27,48 @@ double MessageStats::avg_of(const std::vector<std::size_t>& counts) {
 }
 
 GeometricGraph induce_on_backbone(const GeometricGraph& udg,
-                                  const std::vector<bool>& in_backbone) {
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    for (const auto& [u, v] : udg.edges()) {
-        if (in_backbone[u] && in_backbone[v]) edges.emplace_back(u, v);
-    }
-    return GeometricGraph::from_edges(udg.points(), edges);
+                                  const std::vector<bool>& in_backbone,
+                                  engine::ThreadPool* pool) {
+    return GeometricGraph::from_adjacency(
+        udg.points(),
+        graph::NodeLists::gather(pool, udg.node_count(),
+                                 [&](std::size_t v, std::vector<NodeId>& out) {
+                                     if (!in_backbone[v]) return;
+                                     for (const NodeId u : udg.neighbors(static_cast<NodeId>(v))) {
+                                         if (in_backbone[u]) out.push_back(u);
+                                     }
+                                 }));
 }
 
-GeometricGraph with_dominatee_links(const GeometricGraph& base,
-                                    const protocol::ClusterState& cluster) {
-    std::vector<std::pair<NodeId, NodeId>> links;
-    for (NodeId v = 0; v < base.node_count(); ++v) {
-        if (cluster.role[v] != protocol::Role::kDominatee) continue;
-        for (const NodeId d : cluster.dominators_of[v]) {
-            links.emplace_back(std::min(v, d), std::max(v, d));
-        }
-    }
-    return GeometricGraph::from_edge_union(base.points(), base.edges(), std::move(links));
+graph::NodeLists dominatee_links(const GeometricGraph& udg,
+                                 const protocol::ClusterState& cluster,
+                                 engine::ThreadPool* pool) {
+    return graph::NodeLists::gather(
+        pool, udg.node_count(), [&](std::size_t i, std::vector<NodeId>& out) {
+            const auto v = static_cast<NodeId>(i);
+            if (!cluster.is_dominator(v)) {
+                const auto doms = cluster.dominators(v);
+                out.insert(out.end(), doms.begin(), doms.end());
+                return;
+            }
+            for (const NodeId w : udg.neighbors(v)) {
+                if (cluster.is_dominator(w)) continue;
+                const auto doms = cluster.dominators(w);
+                if (std::binary_search(doms.begin(), doms.end(), v)) out.push_back(w);
+            }
+        });
+}
+
+void assemble_graphs(Backbone& result, const GeometricGraph& udg,
+                     const protocol::ConnectorState& connectors, engine::ThreadPool* pool) {
+    result.is_connector = connectors.is_connector;
+    // cds_edges is sorted and duplicate-free by the connector contract,
+    // exactly the bulk constructor's precondition.
+    result.cds = GeometricGraph::from_edges(udg.points(), connectors.cds_edges);
+    const graph::NodeLists links = dominatee_links(udg, result.cluster, pool);
+    result.cds_prime = result.cds.united_with(links, pool);
+    result.icds_prime = result.icds.united_with(links, pool);
+    result.ldel_icds_prime = result.ldel_icds.united_with(links, pool);
 }
 
 Backbone build_backbone(const GeometricGraph& udg, BuildOptions options) {
@@ -91,7 +115,7 @@ Backbone build_backbone(const GeometricGraph& udg, BuildOptions options) {
         }
     } else {
         result.cluster = protocol::cluster_reference(udg, options.cluster_policy);
-        connectors = protocol::find_connectors(udg, result.cluster);
+        connectors = protocol::elect_connectors(udg, result.cluster);
         result.in_backbone.assign(n, false);
         for (NodeId v = 0; v < n; ++v) {
             result.in_backbone[v] =
@@ -106,12 +130,7 @@ Backbone build_backbone(const GeometricGraph& udg, BuildOptions options) {
         result.ldel_icds = proximity::ldel_graph(result.icds, result.ldel_triangles);
     }
 
-    result.is_connector = connectors.is_connector;
-    result.cds = GeometricGraph::from_edges(udg.points(), connectors.cds_edges);
-
-    result.cds_prime = with_dominatee_links(result.cds, result.cluster);
-    result.icds_prime = with_dominatee_links(result.icds, result.cluster);
-    result.ldel_icds_prime = with_dominatee_links(result.ldel_icds, result.cluster);
+    assemble_graphs(result, udg, connectors);
     return result;
 }
 

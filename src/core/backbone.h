@@ -86,14 +86,31 @@ struct BuildOptions {
 [[nodiscard]] Backbone build_backbone(const graph::GeometricGraph& udg,
                                       BuildOptions options = {});
 
-/// UDG edges restricted to backbone nodes (the ICDS of the paper).
+/// UDG edges restricted to backbone nodes (the ICDS of the paper), each
+/// node's list filtered straight into CSR on `pool`'s lanes when given.
 /// Shared by build_backbone and the engine's staged pipeline.
 [[nodiscard]] graph::GeometricGraph induce_on_backbone(
-    const graph::GeometricGraph& udg, const std::vector<bool>& in_backbone);
+    const graph::GeometricGraph& udg, const std::vector<bool>& in_backbone,
+    engine::ThreadPool* pool = nullptr);
 
-/// `base` plus every dominatee→dominator link (the primed variants of the
-/// paper: CDS', ICDS', LDel(ICDS')), assembled in bulk.
-[[nodiscard]] graph::GeometricGraph with_dominatee_links(
-    const graph::GeometricGraph& base, const protocol::ClusterState& cluster);
+/// Every dominatee→dominator link of `cluster` (elected over `udg`) as
+/// symmetric per-node lists: a dominatee lists its dominators, a
+/// dominator the neighboring dominatees that list it (the reverse
+/// index; dominator lists name only dominators, so the two sides
+/// agree). Filled node by node on `pool`'s lanes when given. Union
+/// these with a base graph (GeometricGraph::united_with) for the primed
+/// variants.
+[[nodiscard]] graph::NodeLists dominatee_links(const graph::GeometricGraph& udg,
+                                               const protocol::ClusterState& cluster,
+                                               engine::ThreadPool* pool = nullptr);
+
+/// The assembly both engines and the staged builder share: sets
+/// is_connector and cds from the elected connectors, then the primed
+/// graphs CDS', ICDS' and LDel(ICDS') — each the base graph ∪ the
+/// dominatee links, derived once — merged node by node into CSR on
+/// `pool`'s lanes. Needs cluster, icds and ldel_icds already built.
+void assemble_graphs(Backbone& result, const graph::GeometricGraph& udg,
+                     const protocol::ConnectorState& connectors,
+                     engine::ThreadPool* pool = nullptr);
 
 }  // namespace geospanner::core

@@ -48,6 +48,14 @@ std::string PipelineStats::json() const {
     return out.str();
 }
 
+void push_stage(PipelineStats* stats, std::string name, StageClock::time_point start,
+                std::size_t items, std::size_t threads) {
+    if (stats == nullptr) return;
+    const double ms =
+        std::chrono::duration<double, std::milli>(StageClock::now() - start).count();
+    stats->stages.push_back({std::move(name), ms, items, threads});
+}
+
 TopologyReport measure_topology(std::string name, const graph::GeometricGraph& udg,
                                 const graph::GeometricGraph& topo, bool spanning,
                                 double min_euclidean, engine::ThreadPool* pool) {

@@ -1,6 +1,7 @@
 // Topology quality reports: one row of the paper's Table I per topology.
 #pragma once
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -60,5 +61,13 @@ struct PipelineStats {
     /// {"total_ms":..,"stages":[{"name":..,"wall_ms":..,..},..]}.
     [[nodiscard]] std::string json() const;
 };
+
+/// Clock of every stage timer.
+using StageClock = std::chrono::steady_clock;
+
+/// Appends the row {name, milliseconds since `start`, items, threads}
+/// to `stats`; a no-op when `stats` is null.
+void push_stage(PipelineStats* stats, std::string name, StageClock::time_point start,
+                std::size_t items, std::size_t threads);
 
 }  // namespace geospanner::core

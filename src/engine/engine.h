@@ -1,21 +1,27 @@
 // Batched, multi-threaded spanner-construction pipeline.
 //
 // The paper's construction is node-local at every step — O(1) messages
-// and O(d log d) computation per node — so the engine parallelizes the
-// per-node work inside each stage: grid-cell UDG edge generation,
-// per-candidate connector evaluation, per-node 1-hop local Delaunay
-// computation, and the per-triangle Algorithm-3 survival test.
+// and O(d log d) computation per node — so every stage after the grid
+// build runs as an owner-computes kernel on the pool's lanes: the UDG
+// cell scans, each MIS round, the connector elections of each
+// dominator, ICDS, the per-node local Delaunay triangles, Algorithm 3
+// over triangle pairs, and the CSR assembly of every output graph. The
+// kernels live below the engine (protocol::cluster_reference,
+// protocol::elect_connectors, core::induce_on_backbone,
+// proximity::ldel1_triangles, proximity::planarize_triangles,
+// proximity::ldel_graph, core::assemble_graphs); core::build_backbone
+// runs the same functions on one lane.
 //
 // Determinism contract: for any thread count, the engine produces
 // edge-for-edge identical output to the sequential centralized path
 // (`proximity::build_udg` + `core::build_backbone` with
-// Engine::kCentralized). Parallel loops write only index-owned slots and
-// results are merged in node order on the calling thread; nothing ever
-// depends on scheduling order. tests/test_engine.cpp asserts the
+// Engine::kCentralized). Each owner writes only its own slice, slices
+// join in owner order, and shared marks only go from 0 to 1; nothing
+// ever depends on scheduling order. tests/test_engine.cpp asserts the
 // equality across thread counts, seeds, and workload shapes.
 //
-// Each stage records wall time, items processed, and thread count into
-// a core::PipelineStats report.
+// Each stage records wall time, items processed, and the lanes it ran
+// at into a core::PipelineStats report.
 #pragma once
 
 #include <cstddef>

@@ -9,9 +9,11 @@
 // edge-for-edge equality with the sequential pipeline.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <vector>
 
 namespace geospanner::engine {
 
@@ -51,9 +53,67 @@ class ThreadPool {
     /// parallel_for calls inline).
     [[nodiscard]] static bool on_worker_thread() noexcept;
 
+    /// Lanes a parallel_for issued from the calling thread runs on: 1
+    /// inside a body (nested loops run inline), thread_count() otherwise.
+    [[nodiscard]] std::size_t available_lanes() const noexcept {
+        return on_worker_thread() ? 1 : thread_count();
+    }
+
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
+
+/// pool->parallel_for when a pool is given, an inline loop otherwise —
+/// the one entry point of the owner-computes kernels, so serial callers
+/// run the same code on one lane.
+inline void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
+                         const std::function<void(std::size_t)>& body) {
+    if (pool != nullptr) {
+        pool->parallel_for(begin, end, body);
+    } else {
+        for (std::size_t i = begin; i < end; ++i) body(i);
+    }
+}
+
+/// Owner-computes gather: calls emit(i, out) once for every owner i in
+/// [0, n), where emit appends owner i's items to `out`, and returns all
+/// items concatenated in owner order. Owners are split into contiguous
+/// blocks, one buffer each, so the result is the same at any lane count.
+/// When `offsets` is given it receives the CSR offsets of the per-owner
+/// slices (n + 1 entries). Emit bodies run concurrently: they may only
+/// read shared state (and make idempotent marks).
+template <typename T, typename Emit>
+[[nodiscard]] std::vector<T> gather_owned(ThreadPool* pool, std::size_t n, Emit&& emit,
+                                          std::vector<std::size_t>* offsets = nullptr) {
+    if (offsets != nullptr) offsets->assign(n + 1, 0);
+    const std::size_t lanes = pool == nullptr ? 1 : pool->available_lanes();
+    const std::size_t blocks = lanes == 1 ? 1 : std::min(n, lanes * 8);
+    const auto run_block = [&](std::size_t b, std::vector<T>& out) {
+        for (std::size_t i = n * b / blocks; i < n * (b + 1) / blocks; ++i) {
+            const std::size_t before = out.size();
+            emit(i, out);
+            if (offsets != nullptr) (*offsets)[i + 1] = out.size() - before;
+        }
+    };
+    std::vector<T> result;
+    if (blocks <= 1) {
+        if (n > 0) run_block(0, result);
+    } else {
+        std::vector<std::vector<T>> parts(blocks);
+        pool->parallel_for(0, blocks, [&](std::size_t b) { run_block(b, parts[b]); });
+        std::vector<std::size_t> start(blocks + 1, 0);
+        for (std::size_t b = 0; b < blocks; ++b) start[b + 1] = start[b] + parts[b].size();
+        result.resize(start[blocks]);
+        pool->parallel_for(0, blocks, [&](std::size_t b) {
+            std::copy(parts[b].begin(), parts[b].end(),
+                      result.begin() + static_cast<std::ptrdiff_t>(start[b]));
+        });
+    }
+    if (offsets != nullptr) {
+        for (std::size_t i = 0; i < n; ++i) (*offsets)[i + 1] += (*offsets)[i];
+    }
+    return result;
+}
 
 }  // namespace geospanner::engine

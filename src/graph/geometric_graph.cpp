@@ -75,19 +75,28 @@ GeometricGraph GeometricGraph::from_edges(
     return g;
 }
 
-GeometricGraph GeometricGraph::from_edge_union(
-    std::vector<geom::Point> points,
-    const std::vector<std::pair<NodeId, NodeId>>& sorted_edges,
-    std::vector<std::pair<NodeId, NodeId>> extra) {
-    std::sort(extra.begin(), extra.end());
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    edges.reserve(sorted_edges.size() + extra.size());
-    // set_union keeps one copy of an edge in both lists; unique drops the
-    // repeats within `extra`.
-    std::set_union(sorted_edges.begin(), sorted_edges.end(), extra.begin(), extra.end(),
-                   std::back_inserter(edges));
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    return from_edges(std::move(points), edges);
+GeometricGraph GeometricGraph::from_adjacency(std::vector<geom::Point> points,
+                                             NodeLists adjacency) {
+    assert(adjacency.size() == points.size() && adjacency.entry_count() % 2 == 0);
+    GeometricGraph g;
+    g.points_ = std::move(points);
+    g.adjacency_ = std::move(adjacency);
+    g.edge_count_ = g.adjacency_.entry_count() / 2;
+    return g;
+}
+
+GeometricGraph GeometricGraph::united_with(const NodeLists& extra,
+                                          engine::ThreadPool* pool) const {
+    assert(extra.size() == node_count());
+    return from_adjacency(points_,
+                          NodeLists::gather(pool, node_count(),
+                                            [&](std::size_t v, std::vector<NodeId>& out) {
+                                                const auto mine = adjacency_[v];
+                                                const auto more = extra[v];
+                                                std::set_union(mine.begin(), mine.end(),
+                                                               more.begin(), more.end(),
+                                                               std::back_inserter(out));
+                                            }));
 }
 
 bool operator==(const GeometricGraph& a, const GeometricGraph& b) {

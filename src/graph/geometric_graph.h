@@ -76,20 +76,24 @@ class GeometricGraph {
     /// Bulk construction from a lexicographically sorted, duplicate-free
     /// edge list with u < v per pair — the inverse of edges(). Equal to
     /// add_edge-ing every pair, but O(nodes + edges), writing an
-    /// exact-capacity CSR slab with no list relocations; the engine's
-    /// assembly and the tile-sharded merge build their graphs this way.
+    /// exact-capacity CSR slab with no list relocations; the tile-sharded
+    /// merge and ldel_graph build their graphs this way.
     [[nodiscard]] static GeometricGraph from_edges(
         std::vector<geom::Point> points,
         const std::vector<std::pair<NodeId, NodeId>>& sorted_edges);
 
-    /// from_edges of `sorted_edges` ∪ `extra`. `extra` holds u < v pairs in
-    /// any order, possibly repeated or already in `sorted_edges`; it is
-    /// sorted here, so bulk builders can append edges without sorting the
-    /// (already ordered) base list.
-    [[nodiscard]] static GeometricGraph from_edge_union(
-        std::vector<geom::Point> points,
-        const std::vector<std::pair<NodeId, NodeId>>& sorted_edges,
-        std::vector<std::pair<NodeId, NodeId>> extra);
+    /// Adopts `adjacency` — one sorted, duplicate-free list per point,
+    /// symmetric and loop-free — as the graph's adjacency. The target of
+    /// the owner-computes assembly kernels, which fill the CSR lists node
+    /// by node (NodeLists::gather) instead of sorting an edge list.
+    [[nodiscard]] static GeometricGraph from_adjacency(std::vector<geom::Point> points,
+                                                       NodeLists adjacency);
+
+    /// This graph ∪ `extra` (symmetric lists, one per node): each node's
+    /// list is a sorted merge written straight into CSR, node by node on
+    /// `pool`'s lanes when given.
+    [[nodiscard]] GeometricGraph united_with(const NodeLists& extra,
+                                             engine::ThreadPool* pool = nullptr) const;
 
     /// Structural equality: same points, same edge set (whatever the slab
     /// layouts left by the two graphs' mutation histories).

@@ -33,16 +33,6 @@ struct SourcePartial {
     std::size_t disconnected_pairs = 0;
 };
 
-/// Runs body(u) for every source node, on the pool when one is given.
-template <typename Body>
-void for_each_source(std::size_t n, engine::ThreadPool* pool, const Body& body) {
-    if (pool != nullptr && n > 1) {
-        pool->parallel_for(0, n, body);
-    } else {
-        for (std::size_t u = 0; u < n; ++u) body(u);
-    }
-}
-
 /// Shared stretch loop over a per-source distance oracle. `Dist` maps a
 /// source node to a vector of costs; `unreachable_value` marks
 /// unreachable targets. Each source accumulates into its own partial;
@@ -56,7 +46,7 @@ StretchStats stretch_impl(const GeometricGraph& base, const GeometricGraph& topo
     const double min_d2 = min_euclidean * min_euclidean;
     const auto n = base.node_count();
     std::vector<SourcePartial> partials(n);
-    for_each_source(n, pool, [&](std::size_t source) {
+    engine::parallel_for(pool, 0, n, [&](std::size_t source) {
         const auto u = static_cast<NodeId>(source);
         const auto db = base_dist(base, u);
         const auto dt = topo_dist(topo, u);
@@ -125,7 +115,7 @@ StretchWitness length_stretch_witness(const GeometricGraph& base,
     // the earliest maximizing (u, v) wins — exactly the pair the old
     // sequential u-major scan reported.
     std::vector<StretchWitness> partials(n);
-    for_each_source(n, pool, [&](std::size_t source) {
+    engine::parallel_for(pool, 0, n, [&](std::size_t source) {
         const auto u = static_cast<NodeId>(source);
         const auto db = dijkstra_lengths(base, u);
         const auto dt = dijkstra_lengths(topo, u);

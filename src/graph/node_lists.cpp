@@ -24,6 +24,26 @@ NodeLists NodeLists::from_csr(const std::vector<std::size_t>& offsets,
     return lists;
 }
 
+NodeLists NodeLists::group_pairs(std::size_t count,
+                                 const std::vector<std::pair<NodeId, NodeId>>& pairs,
+                                 engine::ThreadPool* pool) {
+    std::vector<std::size_t> start(count + 1, 0);
+    for (const auto& [a, b] : pairs) ++start[a + 1];
+    for (std::size_t a = 0; a < count; ++a) start[a + 1] += start[a];
+    std::vector<NodeId> bucketed(pairs.size());
+    {
+        std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
+        for (const auto& [a, b] : pairs) bucketed[cursor[a]++] = b;
+    }
+    return gather(pool, count, [&](std::size_t a, std::vector<NodeId>& out) {
+        const auto first = static_cast<std::ptrdiff_t>(out.size());
+        out.insert(out.end(), bucketed.begin() + static_cast<std::ptrdiff_t>(start[a]),
+                   bucketed.begin() + static_cast<std::ptrdiff_t>(start[a + 1]));
+        std::sort(out.begin() + first, out.end());
+        out.erase(std::unique(out.begin() + first, out.end()), out.end());
+    });
+}
+
 NodeId NodeLists::append_list() {
     slots_.emplace_back();
     return static_cast<NodeId>(slots_.size() - 1);

@@ -21,7 +21,10 @@
 #include <cstdint>
 #include <iosfwd>
 #include <span>
+#include <utility>
 #include <vector>
+
+#include "engine/thread_pool.h"
 
 namespace geospanner::graph {
 
@@ -41,8 +44,29 @@ class NodeLists {
     [[nodiscard]] static NodeLists from_csr(const std::vector<std::size_t>& offsets,
                                             std::vector<NodeId> entries);
 
+    /// Owner-computes CSR fill: list v is what emit(v, out) appends to
+    /// `out` (sorted, duplicate-free), computed on `pool`'s lanes when
+    /// given. Same lists at any lane count.
+    template <typename Emit>
+    [[nodiscard]] static NodeLists gather(engine::ThreadPool* pool, std::size_t count,
+                                          Emit&& emit) {
+        std::vector<std::size_t> offsets;
+        std::vector<NodeId> entries = engine::gather_owned<NodeId>(pool, count, emit, &offsets);
+        return from_csr(offsets, std::move(entries));
+    }
+
+    /// `count` lists where list a holds every b of a pair (a, b) in
+    /// `pairs` (any order, repeats allowed), sorted and deduplicated:
+    /// a counting sort by a, then a sort of each bucket on `pool`'s lanes.
+    [[nodiscard]] static NodeLists group_pairs(
+        std::size_t count, const std::vector<std::pair<NodeId, NodeId>>& pairs,
+        engine::ThreadPool* pool = nullptr);
+
     /// Number of lists.
     [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+
+    /// Sum of the list sizes.
+    [[nodiscard]] std::size_t entry_count() const noexcept { return live_; }
 
     /// Slab length: live entries, per-list slack and dead regions — what
     /// a copy copies. Shrinks only when the slab compacts.

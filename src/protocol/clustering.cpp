@@ -31,25 +31,31 @@ Key key_of(const GeometricGraph& udg, NodeId v, ClusterPolicy policy) {
 
 /// Harvest pass shared by both engines: dominator lists come from
 /// adjacency + roles; two-hop dominators from dominatee neighbors'
-/// lists (what IamDominatee traffic reveals).
-void derive_lists(const GeometricGraph& udg, ClusterState& state) {
-    const auto n = static_cast<NodeId>(udg.node_count());
-    for (NodeId v = 0; v < n; ++v) {
-        if (state.role[v] != Role::kDominatee) continue;
-        for (const NodeId u : udg.neighbors(v)) {
-            if (state.role[u] == Role::kDominator) state.dominators_of.insert(v, u);
-        }
-    }
-    for (NodeId v = 0; v < n; ++v) {
-        for (const NodeId w : udg.neighbors(v)) {
-            if (state.role[w] != Role::kDominatee) continue;
-            for (const NodeId d : state.dominators_of[w]) {
-                if (d != v && !udg.has_edge(v, d)) {
-                    state.two_hop_dominators_of.insert(v, d);
+/// lists (what IamDominatee traffic reveals). Both are per-node CSR
+/// fills on `pool`'s lanes.
+void derive_lists(const GeometricGraph& udg, ClusterState& state, engine::ThreadPool* pool) {
+    const std::size_t n = udg.node_count();
+    state.dominators_of =
+        graph::NodeLists::gather(pool, n, [&](std::size_t v, std::vector<NodeId>& out) {
+            if (state.role[v] != Role::kDominatee) return;
+            for (const NodeId u : udg.neighbors(static_cast<NodeId>(v))) {
+                if (state.role[u] == Role::kDominator) out.push_back(u);
+            }
+        });
+    state.two_hop_dominators_of =
+        graph::NodeLists::gather(pool, n, [&](std::size_t i, std::vector<NodeId>& out) {
+            const auto v = static_cast<NodeId>(i);
+            const std::size_t first = out.size();
+            for (const NodeId w : udg.neighbors(v)) {
+                if (state.role[w] != Role::kDominatee) continue;
+                for (const NodeId d : state.dominators_of[w]) {
+                    if (d != v && !udg.has_edge(v, d)) out.push_back(d);
                 }
             }
-        }
-    }
+            std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+            out.erase(std::unique(out.begin() + static_cast<std::ptrdiff_t>(first), out.end()),
+                      out.end());
+        });
 }
 
 }  // namespace
@@ -121,22 +127,25 @@ ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy p
     return state;
 }
 
-ClusterState cluster_reference(const GeometricGraph& udg, ClusterPolicy policy) {
+ClusterState cluster_reference(const GeometricGraph& udg, ClusterPolicy policy,
+                               engine::ThreadPool* pool) {
     const auto n = static_cast<NodeId>(udg.node_count());
     ClusterState state;
     state.role.assign(n, Role::kDominatee);
-    state.dominators_of = graph::NodeLists(n);
-    state.two_hop_dominators_of = graph::NodeLists(n);
 
     // Synchronized rounds: in each round, every white node that is a
     // local optimum among white neighbors becomes a dominator; its white
     // neighbors become dominatees. This mirrors the protocol exactly.
+    // Each round is two per-node scans on `pool`'s lanes: the election
+    // reads `white` and writes only the node's own `winner` slot, the
+    // update reads `winner` and writes only the node's own slots.
     std::vector<char> white(n, 1);
+    std::vector<char> winner(n, 0);
     std::size_t remaining = n;
     while (remaining > 0) {
-        std::vector<NodeId> winners;
-        for (NodeId v = 0; v < n; ++v) {
-            if (!white[v]) continue;
+        engine::parallel_for(pool, 0, n, [&](std::size_t i) {
+            const auto v = static_cast<NodeId>(i);
+            if (!white[v]) return;
             const Key mine = key_of(udg, v, policy);
             bool best = true;
             for (const NodeId u : udg.neighbors(v)) {
@@ -145,25 +154,29 @@ ClusterState cluster_reference(const GeometricGraph& udg, ClusterPolicy policy) 
                     break;
                 }
             }
-            if (best) winners.push_back(v);
-        }
-        assert(!winners.empty() && "a global optimum always wins");
-        for (const NodeId v : winners) {
-            white[v] = 0;
-            state.role[v] = Role::kDominator;
-            --remaining;
-        }
-        for (const NodeId v : winners) {
+            winner[v] = best ? 1 : 0;
+        });
+        engine::parallel_for(pool, 0, n, [&](std::size_t i) {
+            const auto v = static_cast<NodeId>(i);
+            if (!white[v]) return;
+            if (winner[v]) {
+                white[v] = 0;
+                state.role[v] = Role::kDominator;
+                return;
+            }
             for (const NodeId u : udg.neighbors(v)) {
-                if (white[u]) {
-                    white[u] = 0;
-                    state.role[u] = Role::kDominatee;
-                    --remaining;
+                if (winner[u]) {
+                    white[v] = 0;
+                    state.role[v] = Role::kDominatee;
+                    return;
                 }
             }
-        }
+        });
+        const auto left = static_cast<std::size_t>(std::count(white.begin(), white.end(), 1));
+        assert(left < remaining && "a global optimum always wins");
+        remaining = left;
     }
-    derive_lists(udg, state);
+    derive_lists(udg, state, pool);
     return state;
 }
 
@@ -171,8 +184,6 @@ ClusterState lowest_id_mis(const GeometricGraph& udg) {
     const auto n = static_cast<NodeId>(udg.node_count());
     ClusterState state;
     state.role.assign(n, Role::kDominatee);
-    state.dominators_of = graph::NodeLists(n);
-    state.two_hop_dominators_of = graph::NodeLists(n);
 
     // Lexicographically-first MIS: in increasing id order, v becomes a
     // dominator iff no smaller-id neighbor already is one.
@@ -186,7 +197,7 @@ ClusterState lowest_id_mis(const GeometricGraph& udg) {
         }
         state.role[v] = dominated ? Role::kDominatee : Role::kDominator;
     }
-    derive_lists(udg, state);
+    derive_lists(udg, state, nullptr);
     return state;
 }
 

@@ -39,9 +39,12 @@ enum class ClusterPolicy {
 
 /// Centralized reference: simulates the same synchronized rounds without
 /// messages. Exactly equals the distributed protocol's output for any
-/// policy. Tests assert this.
+/// policy. Tests assert this. Each round's local-optimum scan and the
+/// derived dominator lists are per-node kernels on `pool`'s lanes when
+/// given; the output does not depend on the lane count.
 [[nodiscard]] ClusterState cluster_reference(const graph::GeometricGraph& udg,
-                                             ClusterPolicy policy = ClusterPolicy::kLowestId);
+                                             ClusterPolicy policy = ClusterPolicy::kLowestId,
+                                             engine::ThreadPool* pool = nullptr);
 
 /// The lexicographically-first MIS of the UDG (a node is a dominator iff
 /// it has no smaller-id dominator neighbor, deciding in increasing id

@@ -39,9 +39,24 @@ struct ConnectorState {
                                             const ClusterState& cluster);
 
 /// Centralized reference producing bit-identical output (same elections
-/// evaluated directly on the graph).
+/// evaluated directly on the graph, through ordered maps keyed by
+/// dominator pair). Kept as the independent oracle of elect_connectors.
 [[nodiscard]] ConnectorState find_connectors(const graph::GeometricGraph& udg,
                                              const ClusterState& cluster);
+
+/// The same elections as an owner-computes kernel, the one the builders
+/// run: dominator u gathers the candidates of its pairs (u, ·) — two-hop
+/// pairs u < v and three-hop ordered pairs u → v — from its dominatee
+/// neighbours, sorts them locally and decides every election of those
+/// pairs, second legs included. Owners run on `pool`'s lanes when given;
+/// connector marks only go from 0 to 1, and the CDS edges are bucketed
+/// by their smaller endpoint, so the output equals find_connectors at any
+/// lane count. `candidates`, when given, receives the number of
+/// candidate entries evaluated over all three phases.
+[[nodiscard]] ConnectorState elect_connectors(const graph::GeometricGraph& udg,
+                                              const ClusterState& cluster,
+                                              engine::ThreadPool* pool = nullptr,
+                                              std::size_t* candidates = nullptr);
 
 /// The alternative prior art the paper reviews (Alzoubi/Wan/Frieder):
 /// dominator-initiated selection. For every ordered dominator pair

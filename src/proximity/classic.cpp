@@ -17,9 +17,9 @@ using graph::NodeId;
 
 namespace {
 
-/// Calls fn(w) for every common UDG neighbor w of u and v.
-template <typename Fn>
-void for_common_neighbors(const GeometricGraph& udg, NodeId u, NodeId v, Fn fn) {
+/// True iff some common UDG neighbor w of u and v has blocks(w).
+template <typename Pred>
+bool any_common_neighbor(const GeometricGraph& udg, NodeId u, NodeId v, Pred blocks) {
     const auto nu = udg.neighbors(u);
     const auto nv = udg.neighbors(v);
     std::size_t i = 0;
@@ -30,11 +30,12 @@ void for_common_neighbors(const GeometricGraph& udg, NodeId u, NodeId v, Fn fn) 
         } else if (nu[i] > nv[j]) {
             ++j;
         } else {
-            fn(nu[i]);
+            if (blocks(nu[i])) return true;
             ++i;
             ++j;
         }
     }
+    return false;
 }
 
 /// Sector index of the direction u -> v among `cones` equal sectors
@@ -80,45 +81,36 @@ GeometricGraph build_rng(const GeometricGraph& udg) {
     GeometricGraph g(udg.points());
     for (const auto& [u, v] : udg.edges()) {
         const double d2 = geom::squared_distance(udg.point(u), udg.point(v));
-        bool blocked = false;
         // Any blocker w has |uw| < |uv| <= 1 and |wv| < |uv| <= 1, hence
         // is a common UDG neighbor.
-        for_common_neighbors(udg, u, v, [&](NodeId w) {
-            if (blocked) return;
-            if (geom::squared_distance(udg.point(u), udg.point(w)) < d2 &&
-                geom::squared_distance(udg.point(v), udg.point(w)) < d2) {
-                blocked = true;
-            }
+        const bool blocked = any_common_neighbor(udg, u, v, [&](NodeId w) {
+            return geom::squared_distance(udg.point(u), udg.point(w)) < d2 &&
+                   geom::squared_distance(udg.point(v), udg.point(w)) < d2;
         });
         if (!blocked) g.add_edge(u, v);
     }
     return g;
 }
 
-GeometricGraph build_gabriel(const GeometricGraph& udg) {
-    return GeometricGraph::from_edges(udg.points(), gabriel_edges(udg));
+
+bool is_gabriel_edge(const GeometricGraph& udg, NodeId u, NodeId v) {
+    // A witness anywhere in the *closed* diametral disk blocks the edge
+    // (boundary witnesses included: with exactly-cocircular inputs, e.g.
+    // integer grids, strict blocking would keep both crossing diagonals
+    // of a square and break planarity; the paper assumes general position
+    // where the two rules coincide). Any witness is within |uv| of both
+    // endpoints, hence a common UDG neighbor.
+    return !any_common_neighbor(udg, u, v, [&](NodeId w) {
+        return geom::in_diametral_circle(udg.point(u), udg.point(v), udg.point(w)) >= 0;
+    });
 }
 
-std::vector<std::pair<NodeId, NodeId>> gabriel_edges(const GeometricGraph& udg) {
+GeometricGraph build_gabriel(const GeometricGraph& udg) {
     std::vector<std::pair<NodeId, NodeId>> kept;
     for (const auto& [u, v] : udg.edges()) {
-        bool blocked = false;
-        // A witness anywhere in the *closed* diametral disk blocks the
-        // edge (boundary witnesses included: with exactly-cocircular
-        // inputs, e.g. integer grids, strict blocking would keep both
-        // crossing diagonals of a square and break planarity; the paper
-        // assumes general position where the two rules coincide). Any
-        // witness is within |uv| of both endpoints, hence a common UDG
-        // neighbor.
-        for_common_neighbors(udg, u, v, [&](NodeId w) {
-            if (blocked) return;
-            if (geom::in_diametral_circle(udg.point(u), udg.point(v), udg.point(w)) >= 0) {
-                blocked = true;
-            }
-        });
-        if (!blocked) kept.emplace_back(u, v);
+        if (is_gabriel_edge(udg, u, v)) kept.emplace_back(u, v);
     }
-    return kept;
+    return GeometricGraph::from_edges(udg.points(), kept);
 }
 
 GeometricGraph build_yao(const GeometricGraph& udg, int cones) {

@@ -28,10 +28,11 @@ namespace geospanner::proximity {
 /// disk with diameter uv contains no node. Exact predicate.
 [[nodiscard]] graph::GeometricGraph build_gabriel(const graph::GeometricGraph& udg);
 
-/// The Gabriel edges alone, in GeometricGraph::edges() order (the bulk
-/// input of from_edges, for callers that union them with more edges).
-[[nodiscard]] std::vector<std::pair<graph::NodeId, graph::NodeId>> gabriel_edges(
-    const graph::GeometricGraph& udg);
+/// The Gabriel test of the UDG edge {u, v}: no node in the closed disk
+/// with diameter uv. Symmetric in u and v. The one copy of the rule that
+/// build_gabriel and every LDel assembly (ldel_graph) call.
+[[nodiscard]] bool is_gabriel_edge(const graph::GeometricGraph& udg, graph::NodeId u,
+                                   graph::NodeId v);
 
 /// Yao graph with `cones` equal sectors per node: each node keeps its
 /// shortest UDG edge in every sector (ties broken by smaller node id);

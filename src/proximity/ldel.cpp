@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cassert>
 
 #include "delaunay/delaunay.h"
 #include "geom/predicates.h"
+#include "proximity/cell_grid.h"
 #include "proximity/classic.h"
 
 namespace geospanner::proximity {
@@ -28,7 +30,10 @@ bool strictly_inside_triangle(Point a, Point b, Point c, Point p) {
            geom::orient_sign(c, a, p) > 0;
 }
 
-using TrianglePoints = Alg3Filter::CcwTri;
+/// Triangle corners in CCW order.
+struct TrianglePoints {
+    Point a, b, c;
+};
 
 TrianglePoints ccw_points(const GeometricGraph& g, TriangleKey t) {
     Point a = g.point(t.a);
@@ -88,6 +93,117 @@ PairRemoval alg3_pair(const TrianglePoints& s, const TrianglePoints& t) {
     return {remove_s, remove_t};
 }
 
+/// Algorithm 3 over a sorted triangle set. The constructor precomputes
+/// CCW corner points, bounding boxes, and a uniform bucket grid over the
+/// boxes; removal_scan then tests the grid-pruned pairs.
+class Alg3Filter {
+  public:
+    Alg3Filter(const GeometricGraph& g, const std::vector<TriangleKey>& triangles);
+
+    /// Sets removed[i] for every triangle Algorithm 3 removes. Each
+    /// intersecting pair is tested once, by the lane owning its lower
+    /// index; marks only go from 0 to 1 (relaxed atomic stores), so the
+    /// result does not depend on the lane count or write order.
+    void removal_scan(std::vector<char>& removed, engine::ThreadPool* pool) const;
+
+  private:
+    struct Box {
+        double min_x, max_x, min_y, max_y;
+    };
+
+    /// Calls fn(j) for every j whose bucket could hold a box
+    /// intersecting box i (includes i itself; callers filter).
+    template <typename Fn>
+    void for_each_box_neighbor(std::size_t i, Fn&& fn) const;
+
+    std::vector<TrianglePoints> tris_;
+    std::vector<Box> boxes_;
+    double cell_side_ = 1.0;
+    // Occupied cells in CSR form: `cell_keys_` holds the sorted distinct
+    // cell coordinates, bucket k is cell_items_[cell_offsets_[k],
+    // cell_offsets_[k+1]). Lookups binary-search the key column — the
+    // three columns stay contiguous, unlike per-cell node vectors.
+    std::vector<std::pair<long long, long long>> cell_keys_;
+    std::vector<std::uint32_t> cell_offsets_;
+    std::vector<std::uint32_t> cell_items_;
+};
+
+Alg3Filter::Alg3Filter(const GeometricGraph& g, const std::vector<TriangleKey>& triangles) {
+    tris_.reserve(triangles.size());
+    boxes_.reserve(triangles.size());
+    double max_extent = 0.0;
+    for (const auto& t : triangles) {
+        const TrianglePoints p = ccw_points(g, t);
+        tris_.push_back(p);
+        const Box box{std::min({p.a.x, p.b.x, p.c.x}), std::max({p.a.x, p.b.x, p.c.x}),
+                      std::min({p.a.y, p.b.y, p.c.y}), std::max({p.a.y, p.b.y, p.c.y})};
+        boxes_.push_back(box);
+        max_extent = std::max({max_extent, box.max_x - box.min_x, box.max_y - box.min_y});
+    }
+    cell_side_ = max_extent > 0.0 ? max_extent : 1.0;
+    // CSR bucket build: sort (cell, index) pairs, then split the index
+    // column at cell boundaries. One allocation each, no per-cell nodes.
+    std::vector<std::pair<std::pair<long long, long long>, std::uint32_t>> entries;
+    entries.reserve(tris_.size());
+    for (std::size_t i = 0; i < tris_.size(); ++i) {
+        const CellCoord c = cell_of({boxes_[i].min_x, boxes_[i].min_y}, cell_side_);
+        entries.push_back({{c.first, c.second}, static_cast<std::uint32_t>(i)});
+    }
+    std::sort(entries.begin(), entries.end());
+    cell_items_.reserve(entries.size());
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+        if (k == 0 || entries[k].first != entries[k - 1].first) {
+            cell_keys_.push_back(entries[k].first);
+            cell_offsets_.push_back(static_cast<std::uint32_t>(k));
+        }
+        cell_items_.push_back(entries[k].second);
+    }
+    cell_offsets_.push_back(static_cast<std::uint32_t>(entries.size()));
+}
+
+template <typename Fn>
+void Alg3Filter::for_each_box_neighbor(std::size_t i, Fn&& fn) const {
+    // Boxes are bucketed by their min corner and no box extent exceeds
+    // cell_side_, so any box intersecting box i has its min corner in
+    // [min - cell_side_, max] per axis — at most a 3x3 cell block.
+    const Box& box = boxes_[i];
+    const auto [x_lo, y_lo] =
+        cell_of({box.min_x - cell_side_, box.min_y - cell_side_}, cell_side_);
+    const auto [x_hi, y_hi] = cell_of({box.max_x, box.max_y}, cell_side_);
+    for (long long cx = x_lo; cx <= x_hi; ++cx) {
+        for (long long cy = y_lo; cy <= y_hi; ++cy) {
+            const auto it = std::lower_bound(cell_keys_.begin(), cell_keys_.end(),
+                                             std::pair{cx, cy});
+            if (it == cell_keys_.end() || *it != std::pair{cx, cy}) continue;
+            const auto k = static_cast<std::size_t>(it - cell_keys_.begin());
+            for (std::uint32_t s = cell_offsets_[k]; s < cell_offsets_[k + 1]; ++s) {
+                fn(static_cast<std::size_t>(cell_items_[s]));
+            }
+        }
+    }
+}
+
+void Alg3Filter::removal_scan(std::vector<char>& removed,
+                              engine::ThreadPool* pool) const {
+    removed.assign(tris_.size(), 0);
+    const auto mark = [&](std::size_t k) {
+        std::atomic_ref<char>(removed[k]).store(1, std::memory_order_relaxed);
+    };
+    engine::parallel_for(pool, 0, tris_.size(), [&](std::size_t i) {
+        const auto& s = tris_[i];
+        // The grid finds every intersecting pair from both sides; the
+        // j > i filter processes each unordered pair exactly once.
+        for_each_box_neighbor(i, [&](std::size_t j) {
+            if (j <= i) return;
+            const auto& t = tris_[j];
+            if (bbox_disjoint(s, t) || !intersect_impl(s, t)) return;
+            const PairRemoval r = alg3_pair(s, t);
+            if (r.smaller) mark(i);
+            if (r.larger) mark(j);
+        });
+    });
+}
+
 }  // namespace
 
 std::vector<TriangleKey> local_triangles_at(const GeometricGraph& udg, NodeId u) {
@@ -144,32 +260,42 @@ bool circumcircle_contains_vertex_of(const GeometricGraph& g, TriangleKey s,
     return cc_contains_impl(ccw_points(g, s), ccw_points(g, t));
 }
 
-std::vector<TriangleKey> ldel1_triangles(const GeometricGraph& udg) {
-    const auto n = static_cast<NodeId>(udg.node_count());
-    std::vector<std::vector<TriangleKey>> local(n);
-    LocalDelaunayScratch scratch;
-    for (NodeId u = 0; u < n; ++u) {
-        local_triangles_at(udg, u, scratch, local[u]);
-    }
+std::vector<TriangleKey> ldel1_triangles(const GeometricGraph& udg,
+                                         engine::ThreadPool* pool) {
+    const std::size_t n = udg.node_count();
+    // Every node's local triangles, sorted, as CSR slices.
+    std::vector<std::size_t> offsets;
+    const std::vector<TriangleKey> local = engine::gather_owned<TriangleKey>(
+        pool, n,
+        [&](std::size_t u, std::vector<TriangleKey>& out) {
+            // One triangulation arena per lane, reused across nodes and
+            // builds: the per-node local Delaunay cost is allocator-bound
+            // without it. Results are independent of scratch history.
+            thread_local LocalDelaunayScratch scratch;
+            thread_local std::vector<TriangleKey> mine;
+            local_triangles_at(udg, static_cast<NodeId>(u), scratch, mine);
+            out.insert(out.end(), mine.begin(), mine.end());
+        },
+        &offsets);
+    const auto slice_has = [&](NodeId v, TriangleKey t) {
+        return std::binary_search(local.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
+                                  local.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]),
+                                  t);
+    };
 
     // A triangle is 1-localized Delaunay iff it appears in the local
     // Delaunay triangulation of all three of its vertices (equivalent to
     // circumcircle emptiness over the union of their 1-hop neighborhoods,
     // since a Delaunay triangle of N1(x) has its circumcircle empty of
-    // N1(x)). Per-node lists are sorted, so membership is binary search
-    // and concatenating the least-vertex hits in node order is already
-    // globally sorted.
-    std::vector<TriangleKey> result;
-    for (NodeId u = 0; u < n; ++u) {
-        for (const auto& t : local[u]) {
-            if (t.a != u) continue;  // Count each triangle once, at its least vertex.
-            if (std::binary_search(local[t.b].begin(), local[t.b].end(), t) &&
-                std::binary_search(local[t.c].begin(), local[t.c].end(), t)) {
-                result.push_back(t);
+    // N1(x)). Each triangle is decided once, at its least vertex, so the
+    // owner-order concatenation is already globally sorted.
+    return engine::gather_owned<TriangleKey>(
+        pool, n, [&](std::size_t u, std::vector<TriangleKey>& out) {
+            for (std::size_t k = offsets[u]; k < offsets[u + 1]; ++k) {
+                const TriangleKey t = local[k];
+                if (t.a == u && slice_has(t.b, t) && slice_has(t.c, t)) out.push_back(t);
             }
-        }
-    }
-    return result;
+        });
 }
 
 std::vector<TriangleKey> ldel1_triangles_reference(const GeometricGraph& udg) {
@@ -208,101 +334,11 @@ std::vector<TriangleKey> ldel1_triangles_reference(const GeometricGraph& udg) {
     return result;
 }
 
-Alg3Filter::Alg3Filter(const GeometricGraph& g, std::vector<TriangleKey> triangles)
-    : keys_(std::move(triangles)) {
-    tris_.reserve(keys_.size());
-    boxes_.reserve(keys_.size());
-    double max_extent = 0.0;
-    for (const auto& t : keys_) {
-        const TrianglePoints p = ccw_points(g, t);
-        tris_.push_back(p);
-        const Box box{std::min({p.a.x, p.b.x, p.c.x}), std::max({p.a.x, p.b.x, p.c.x}),
-                      std::min({p.a.y, p.b.y, p.c.y}), std::max({p.a.y, p.b.y, p.c.y})};
-        boxes_.push_back(box);
-        max_extent = std::max({max_extent, box.max_x - box.min_x, box.max_y - box.min_y});
-    }
-    cell_side_ = max_extent > 0.0 ? max_extent : 1.0;
-    // CSR bucket build: sort (cell, index) pairs, then split the index
-    // column at cell boundaries. One allocation each, no per-cell nodes.
-    std::vector<std::pair<std::pair<long long, long long>, std::uint32_t>> entries;
-    entries.reserve(keys_.size());
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-        const CellCoord c = cell_of({boxes_[i].min_x, boxes_[i].min_y}, cell_side_);
-        entries.push_back({{c.first, c.second}, static_cast<std::uint32_t>(i)});
-    }
-    std::sort(entries.begin(), entries.end());
-    cell_items_.reserve(entries.size());
-    for (std::size_t k = 0; k < entries.size(); ++k) {
-        if (k == 0 || entries[k].first != entries[k - 1].first) {
-            cell_keys_.push_back(entries[k].first);
-            cell_offsets_.push_back(static_cast<std::uint32_t>(k));
-        }
-        cell_items_.push_back(entries[k].second);
-    }
-    cell_offsets_.push_back(static_cast<std::uint32_t>(entries.size()));
-}
-
-template <typename Fn>
-void Alg3Filter::for_each_box_neighbor(std::size_t i, Fn&& fn) const {
-    // Boxes are bucketed by their min corner and no box extent exceeds
-    // cell_side_, so any box intersecting box i has its min corner in
-    // [min - cell_side_, max] per axis — at most a 3x3 cell block.
-    const Box& box = boxes_[i];
-    const auto [x_lo, y_lo] =
-        cell_of({box.min_x - cell_side_, box.min_y - cell_side_}, cell_side_);
-    const auto [x_hi, y_hi] = cell_of({box.max_x, box.max_y}, cell_side_);
-    for (long long cx = x_lo; cx <= x_hi; ++cx) {
-        for (long long cy = y_lo; cy <= y_hi; ++cy) {
-            const auto it = std::lower_bound(cell_keys_.begin(), cell_keys_.end(),
-                                             std::pair{cx, cy});
-            if (it == cell_keys_.end() || *it != std::pair{cx, cy}) continue;
-            const auto k = static_cast<std::size_t>(it - cell_keys_.begin());
-            for (std::uint32_t s = cell_offsets_[k]; s < cell_offsets_[k + 1]; ++s) {
-                fn(static_cast<std::size_t>(cell_items_[s]));
-            }
-        }
-    }
-}
-
-void Alg3Filter::removal_scan(std::vector<char>& removed) const {
-    const std::size_t m = keys_.size();
-    removed.assign(m, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-        const auto& s = tris_[i];
-        // The grid finds every intersecting pair from both sides; the
-        // j > i filter processes each unordered pair exactly once.
-        for_each_box_neighbor(i, [&](std::size_t j) {
-            if (j <= i) return;
-            const auto& t = tris_[j];
-            if (bbox_disjoint(s, t) || !intersect_impl(s, t)) return;
-            const PairRemoval r = alg3_pair(s, t);
-            if (r.smaller) removed[i] = 1;
-            if (r.larger) removed[j] = 1;
-        });
-    }
-}
-
-bool Alg3Filter::keeps(std::size_t i) const {
-    const auto& s = tris_[i];
-    bool kept = true;
-    for_each_box_neighbor(i, [&](std::size_t j) {
-        if (!kept || j == i) return;
-        const auto& t = tris_[j];
-        if (bbox_disjoint(s, t) || !intersect_impl(s, t)) return;
-        // alg3_pair is oriented lower-index-first (canonical key order
-        // for the sorted sets this runs on), matching removal_scan.
-        const PairRemoval r = i < j ? alg3_pair(s, t) : alg3_pair(t, s);
-        if (i < j ? r.smaller : r.larger) kept = false;
-    });
-    return kept;
-}
-
 std::vector<TriangleKey> planarize_triangles(const GeometricGraph& udg,
-                                             const std::vector<TriangleKey>& triangles) {
-    const Alg3Filter filter(udg, triangles);
+                                             const std::vector<TriangleKey>& triangles,
+                                             engine::ThreadPool* pool) {
     std::vector<char> removed;
-    filter.removal_scan(removed);
-
+    Alg3Filter(udg, triangles).removal_scan(removed, pool);
     std::vector<TriangleKey> kept;
     for (std::size_t i = 0; i < triangles.size(); ++i) {
         if (!removed[i]) kept.push_back(triangles[i]);
@@ -311,16 +347,49 @@ std::vector<TriangleKey> planarize_triangles(const GeometricGraph& udg,
 }
 
 GeometricGraph ldel_graph(const GeometricGraph& udg,
-                          const std::vector<TriangleKey>& triangles) {
-    std::vector<std::pair<NodeId, NodeId>> sides;
-    sides.reserve(3 * triangles.size());
+                          const std::vector<TriangleKey>& triangles,
+                          engine::ThreadPool* pool) {
+    assert(std::is_sorted(triangles.begin(), triangles.end()));
+    using Edge = std::pair<NodeId, NodeId>;
+    const std::size_t n = udg.node_count();
+    // Sides by smaller endpoint: a triangle's sides ab and ac belong to its
+    // least vertex a, whose triangles are the slice [first[a], first[a+1])
+    // of the sorted set; the sides bc are grouped by b.
+    std::vector<std::size_t> first(n + 1, 0);
+    std::vector<Edge> middle;
+    middle.reserve(triangles.size());
     for (const auto& t : triangles) {
-        sides.emplace_back(t.a, t.b);
-        sides.emplace_back(t.b, t.c);
-        sides.emplace_back(t.a, t.c);
+        ++first[t.a + 1];
+        middle.emplace_back(t.b, t.c);
     }
-    return GeometricGraph::from_edge_union(udg.points(), gabriel_edges(udg),
-                                           std::move(sides));
+    for (std::size_t a = 0; a < n; ++a) first[a + 1] += first[a];
+    const graph::NodeLists middle_sides = graph::NodeLists::group_pairs(n, middle, pool);
+
+    // Node u keeps an upper UDG neighbor v iff uv is a triangle side or
+    // passes the Gabriel test, so each edge is decided once and only the
+    // non-side edges pay for the test.
+    const std::vector<Edge> edges = engine::gather_owned<Edge>(
+        pool, n, [&](std::size_t i, std::vector<Edge>& out) {
+            const auto u = static_cast<NodeId>(i);
+            thread_local std::vector<NodeId> sides;
+            sides.clear();
+            for (std::size_t k = first[u]; k < first[u + 1]; ++k) {
+                sides.push_back(triangles[k].b);
+                sides.push_back(triangles[k].c);
+            }
+            const auto more = middle_sides[u];
+            sides.insert(sides.end(), more.begin(), more.end());
+            std::sort(sides.begin(), sides.end());
+            const auto nbrs = udg.neighbors(u);
+            for (auto it = std::upper_bound(nbrs.begin(), nbrs.end(), u); it != nbrs.end();
+                 ++it) {
+                if (std::binary_search(sides.begin(), sides.end(), *it) ||
+                    is_gabriel_edge(udg, u, *it)) {
+                    out.emplace_back(u, *it);
+                }
+            }
+        });
+    return GeometricGraph::from_edges(udg.points(), edges);
 }
 
 GeometricGraph build_ldel1(const GeometricGraph& udg) {

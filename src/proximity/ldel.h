@@ -15,13 +15,12 @@
 
 #include <compare>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "delaunay/delaunay.h"
+#include "engine/thread_pool.h"
 #include "graph/geometric_graph.h"
-#include "proximity/cell_grid.h"
 
 namespace geospanner::proximity {
 
@@ -74,8 +73,10 @@ void local_triangles_at(const graph::GeometricGraph& udg, graph::NodeId u,
 
 /// All 1-localized Delaunay triangles of the UDG, sorted. Computed via
 /// per-node local Delaunay triangulations (the efficient O(d log d)-per-
-/// node formulation; equivalent to the circumcircle definition).
-[[nodiscard]] std::vector<TriangleKey> ldel1_triangles(const graph::GeometricGraph& udg);
+/// node formulation; equivalent to the circumcircle definition), node
+/// by node on `pool`'s lanes when given.
+[[nodiscard]] std::vector<TriangleKey> ldel1_triangles(const graph::GeometricGraph& udg,
+                                                       engine::ThreadPool* pool = nullptr);
 
 /// Definitional O(d^4)-per-node computation of the same triangle set:
 /// enumerates UDG triangles and tests circumcircle emptiness against the
@@ -83,76 +84,30 @@ void local_triangles_at(const graph::GeometricGraph& udg, graph::NodeId u,
 [[nodiscard]] std::vector<TriangleKey> ldel1_triangles_reference(
     const graph::GeometricGraph& udg);
 
-/// Subset of `triangles` surviving Algorithm 3: a triangle is removed iff
-/// it intersects another triangle of the set and its circumcircle
-/// strictly contains one of the other's vertices. Sorted.
+/// Subset of `triangles` (sorted) surviving Algorithm 3: a triangle is
+/// removed iff it intersects another triangle of the set and its
+/// circumcircle strictly contains one of the other's vertices; for
+/// exactly-cocircular crossings, where neither strict test fires, the
+/// larger key is removed. Sorted.
+///
+/// One kernel at every lane count: a bucket grid over the triangles'
+/// bounding boxes (sides are UDG edges, so only a 3x3 cell block can
+/// hold intersecting partners) prunes the pairs, and each intersecting
+/// pair is tested once, by the lane owning its lower index. A pair only
+/// ever sets removal marks from 0 to 1, so the order in which lanes write
+/// them cannot change the result.
 [[nodiscard]] std::vector<TriangleKey> planarize_triangles(
-    const graph::GeometricGraph& udg, const std::vector<TriangleKey>& triangles);
-
-/// Algorithm 3 with the removal rule factored into a per-triangle
-/// survival kernel. The constructor precomputes CCW corner points,
-/// bounding boxes, and a uniform bucket grid over the boxes (triangle
-/// sides are UDG edges, so box extents are bounded by the radius and
-/// only a 3x3 cell neighborhood can hold intersecting partners — the
-/// all-pairs scan collapses to near-linear). `keeps(i)` then decides
-/// triangle i against the set reading only immutable state, so distinct
-/// indices may be evaluated concurrently (the engine's parallel
-/// planarization stage does exactly that). `keeps` agrees
-/// index-for-index with `planarize_triangles`, including the
-/// deterministic larger-key tie-break for cocircular crossings.
-class Alg3Filter {
-  public:
-    /// Triangle corners in CCW order.
-    struct CcwTri {
-        geom::Point a, b, c;
-    };
-
-    Alg3Filter(const graph::GeometricGraph& g, std::vector<TriangleKey> triangles);
-
-    [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
-    [[nodiscard]] const std::vector<TriangleKey>& triangles() const noexcept {
-        return keys_;
-    }
-
-    /// True iff triangles()[i] survives Algorithm 3 against the set.
-    [[nodiscard]] bool keeps(std::size_t i) const;
-
-    /// Removal scan over grid-pruned pairs: sets removed[i] per
-    /// triangle, agreeing with !keeps(i). Marks both sides of each
-    /// intersecting pair in one pass, so it does half the pair tests
-    /// per-index `keeps` calls need — sequential callers (and the
-    /// engine when the planarize stage runs on a single lane) should
-    /// prefer it.
-    void removal_scan(std::vector<char>& removed) const;
-
-  private:
-    struct Box {
-        double min_x, max_x, min_y, max_y;
-    };
-
-    /// Calls fn(j) for every j whose bucket could hold a box
-    /// intersecting box i (includes i itself; callers filter).
-    template <typename Fn>
-    void for_each_box_neighbor(std::size_t i, Fn&& fn) const;
-
-    std::vector<TriangleKey> keys_;
-    std::vector<CcwTri> tris_;
-    std::vector<Box> boxes_;
-    double cell_side_ = 1.0;
-    // Occupied cells in CSR form: `cell_keys_` holds the sorted distinct
-    // cell coordinates, bucket k is cell_items_[cell_offsets_[k],
-    // cell_offsets_[k+1]). Lookups binary-search the key column — the
-    // three columns stay contiguous, unlike per-cell node vectors.
-    std::vector<std::pair<long long, long long>> cell_keys_;
-    std::vector<std::uint32_t> cell_offsets_;
-    std::vector<std::uint32_t> cell_items_;
-};
+    const graph::GeometricGraph& udg, const std::vector<TriangleKey>& triangles,
+    engine::ThreadPool* pool = nullptr);
 
 /// Gabriel edges of `udg` plus the three sides of every triangle — the
-/// graph every LDel variant assembles from its triangle set. Built in
-/// bulk through GeometricGraph::from_edge_union.
+/// graph every LDel variant assembles from its triangle set (sorted
+/// canonical keys whose sides are `udg` edges). Each edge is decided
+/// once, by its smaller endpoint on `pool`'s lanes: a triangle side is
+/// kept outright, any other edge takes the Gabriel test.
 [[nodiscard]] graph::GeometricGraph ldel_graph(const graph::GeometricGraph& udg,
-                                               const std::vector<TriangleKey>& triangles);
+                                               const std::vector<TriangleKey>& triangles,
+                                               engine::ThreadPool* pool = nullptr);
 
 /// LDel⁽¹⁾(V): Gabriel edges plus edges of all 1-localized Delaunay
 /// triangles. Thickness 2; not necessarily planar.

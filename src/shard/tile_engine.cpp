@@ -1,7 +1,6 @@
 #include "shard/tile_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "protocol/clustering.h"
@@ -15,17 +14,8 @@ using proximity::TriangleKey;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using core::StageClock;
 using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
-
-double ms_since(Clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-void push_stage(core::PipelineStats& stats, const char* name, Clock::time_point start,
-                std::size_t items, std::size_t threads) {
-    stats.stages.push_back({name, ms_since(start), items, threads});
-}
 
 /// Local index of global id g in a sorted region list (must be present).
 NodeId local_of(const std::vector<NodeId>& region, NodeId g) {
@@ -133,19 +123,19 @@ ShardBuildResult TileShardedEngine::build(std::vector<geom::Point> points,
     // Partition: one shared cell grid serves the halo queries here and
     // every per-node UDG scan below, so region extraction and neighbor
     // enumeration agree on bucketing.
-    auto start = Clock::now();
+    auto start = StageClock::now();
     const std::size_t n = points.size();
     const std::size_t tile_target =
         options_.tiles > 0 ? options_.tiles : 4 * pool_.thread_count();
     const proximity::CompactCellGrid grid(points, radius);
     const PartitionPlan plan =
         partition_points(points, radius, tile_target, options_.halo_hops, grid);
-    push_stage(result.stats, "partition", start, n, 1);
+    core::push_stage(&result.stats, "partition", start, n, 1);
 
     // UDG: each tile scans its owned nodes against the shared grid; the
     // per-node kernel is the monolithic engine's, so the merged edge set
     // is identical by construction.
-    start = Clock::now();
+    start = StageClock::now();
     const double r2 = radius * radius;
     std::vector<std::vector<NodeId>> above(n);
     pool_.parallel_for(0, plan.tile_count(), [&](std::size_t t) {
@@ -167,15 +157,15 @@ ShardBuildResult TileShardedEngine::build(std::vector<geom::Point> points,
     }
     above.clear();
     above.shrink_to_fit();
-    push_stage(result.stats, "udg", start, n, pool_.thread_count());
+    core::push_stage(&result.stats, "udg", start, n, pool_.available_lanes());
 
     // Clustering runs globally: the lowest-id MIS has unbounded decision
     // chains (see header), and one global election is cheap next to the
     // geometric stages it unlocks for sharding.
-    start = Clock::now();
+    start = StageClock::now();
     protocol::ClusterState cluster =
-        protocol::cluster_reference(result.udg, options_.cluster_policy);
-    push_stage(result.stats, "clustering", start, n, 1);
+        protocol::cluster_reference(result.udg, options_.cluster_policy, &pool_);
+    core::push_stage(&result.stats, "clustering", start, n, pool_.available_lanes());
     if (options_.audit) {
         result.audit.stages.push_back(
             verify::audit_clustering(result.udg, cluster, options_.audit_options));
@@ -185,7 +175,7 @@ ShardBuildResult TileShardedEngine::build(std::vector<geom::Point> points,
     // the global cluster state to it, and runs the staged pipeline from
     // the connector stage on (engine::build_backbone_from_cluster — the
     // exact monolithic code path, executed inline on the worker lane).
-    start = Clock::now();
+    start = StageClock::now();
     std::vector<TileOutput> outputs(plan.tile_count());
     pool_.parallel_for(0, plan.tile_count(), [&](std::size_t t) {
         const Tile& tile = plan.tiles[t];
@@ -236,13 +226,13 @@ ShardBuildResult TileShardedEngine::build(std::vector<geom::Point> points,
     {
         std::size_t built = 0;
         for (const TileOutput& out : outputs) built += out.built ? 1 : 0;
-        push_stage(result.stats, "shards", start, built, pool_.thread_count());
+        core::push_stage(&result.stats, "shards", start, built, pool_.available_lanes());
     }
 
     // Merge: per-tile slices are disjoint (every edge/triangle/flag has
     // exactly one owner), so concatenate + sort canonicalizes; the
     // result is assembled through the O(m) bulk graph constructor.
-    start = Clock::now();
+    start = StageClock::now();
     core::Backbone& backbone = result.backbone;
     backbone.is_connector.assign(n, false);
     for (const TileOutput& out : outputs) {
@@ -269,7 +259,7 @@ ShardBuildResult TileShardedEngine::build(std::vector<geom::Point> points,
     for (TileOutput& out : outputs) {
         if (out.built) result.shards.push_back(std::move(out.stats));
     }
-    push_stage(result.stats, "merge", start, plan.tile_count(), 1);
+    core::push_stage(&result.stats, "merge", start, plan.tile_count(), 1);
 
     if (options_.audit) {
         // The monolithic per-stage audits certify the MERGED structures

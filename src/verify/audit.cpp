@@ -398,7 +398,7 @@ StageAudit audit_connectors(const GeometricGraph& udg,
     partial.cluster = cluster;
     partial.cds = GeometricGraph(udg.points());
     for (const auto& [u, v] : cds_edges) partial.cds.add_edge(u, v);
-    partial.cds_prime = core::with_dominatee_links(partial.cds, cluster);
+    partial.cds_prime = partial.cds.united_with(core::dominatee_links(udg, cluster));
     // Stretch only needs the CDS graphs; satisfy the checker's Backbone
     // interface with LDel' := CDS' (same bound applies).
     partial.ldel_icds_prime = partial.cds_prime;

@@ -15,7 +15,9 @@
 #include "core/workload.h"
 #include "engine/batch.h"
 #include "engine/thread_pool.h"
+#include "protocol/connectors.h"
 #include "proximity/udg.h"
+#include "shard/tile_engine.h"
 #include "test_util.h"
 
 namespace geospanner::engine {
@@ -160,6 +162,75 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Shape::kUniform, Shape::kClustered,
                                          Shape::kGrid),
                        ::testing::Values(11ULL, 29ULL, 53ULL)));
+
+/// Every Backbone field, the two-hop dominator lists included.
+void expect_all_fields_equal(const core::Backbone& expected, const core::Backbone& got) {
+    expect_backbones_equal(expected, got);
+    EXPECT_EQ(expected.cluster.two_hop_dominators_of, got.cluster.two_hop_dominators_of);
+    EXPECT_EQ(expected.messages.after_cds, got.messages.after_cds);
+    EXPECT_EQ(expected.messages.after_icds, got.messages.after_icds);
+    EXPECT_EQ(expected.messages.after_ldel, got.messages.after_ldel);
+    EXPECT_EQ(expected.messages.ldel_units, got.messages.ldel_units);
+}
+
+std::size_t stage_items(const core::PipelineStats& stats, const std::string& name) {
+    for (const auto& s : stats.stages) {
+        if (s.name == name) return s.items;
+    }
+    ADD_FAILURE() << "no stage row " << name;
+    return 0;
+}
+
+class EngineDeterminismAtScale
+    : public ::testing::TestWithParam<std::tuple<Shape, std::uint64_t>> {};
+
+TEST_P(EngineDeterminismAtScale, EveryFieldMatchesAtEveryLaneCount) {
+    // Large enough that every owner-computes kernel splits its owners
+    // over several blocks per lane.
+    const auto [shape, seed] = GetParam();
+    core::WorkloadConfig config;
+    config.node_count = 4000;
+    config.side = 1650.0;
+    config.radius = 55.0;
+    config.seed = seed;
+    const auto points = make_points(shape, config);
+    const GeometricGraph udg = proximity::build_udg(points, config.radius);
+    const core::Backbone expected =
+        core::build_backbone(udg, {core::Engine::kCentralized});
+
+    // The connector kernel against its independent map-based oracle, and
+    // the candidate count its serial run reports.
+    const protocol::ConnectorState oracle = protocol::find_connectors(udg, expected.cluster);
+    EXPECT_EQ(oracle.is_connector, expected.is_connector);
+    EXPECT_EQ(oracle.cds_edges, expected.cds.edges());
+    std::size_t candidates = 0;
+    (void)protocol::elect_connectors(udg, expected.cluster, nullptr, &candidates);
+    EXPECT_GT(candidates, 0u);
+
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        EngineOptions options;
+        options.threads = threads;
+        SpannerEngine engine(options);
+        const BuildResult result = engine.build(points, config.radius);
+        EXPECT_EQ(result.udg, udg);
+        expect_all_fields_equal(expected, result.backbone);
+        EXPECT_EQ(stage_items(result.stats, "connectors"), candidates);
+    }
+
+    shard::ShardOptions shard_options;
+    shard_options.threads = 4;
+    shard::TileShardedEngine sharded(shard_options);
+    const shard::ShardBuildResult result = sharded.build(points, config.radius);
+    EXPECT_EQ(result.udg, udg);
+    expect_all_fields_equal(expected, result.backbone);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShapesAndSeeds, EngineDeterminismAtScale,
+    ::testing::Combine(::testing::Values(Shape::kUniform, Shape::kClustered,
+                                         Shape::kGrid),
+                       ::testing::Values(1ULL, 2ULL, 3ULL)));
 
 TEST(Engine, Ldel2PlanarizerMatchesSequentialPath) {
     const GeometricGraph udg = test::connected_udg(60, 200.0, 55.0, 17);

@@ -247,11 +247,17 @@ TEST(GeometricGraphModel, EqualityIsLogicalNotLayout) {
     EXPECT_NE(churned.adjacency().slab_size(), bulk.adjacency().slab_size());
     EXPECT_EQ(churned, bulk);
 
-    // Bulk union of a sorted list with an unordered one holding repeats
-    // and edges of the first list.
+    // Union of a bulk graph with unordered extra links holding repeats
+    // and edges of the graph, grouped into symmetric per-node lists.
     const std::vector<std::pair<NodeId, NodeId>> first{{0, 1}, {2, 3}, {4, 7}, {8, 9}};
-    const GeometricGraph united = GeometricGraph::from_edge_union(
-        points, first, {{6, 7}, {3, 11}, {0, 5}, {2, 3}, {1, 2}, {6, 7}, {0, 1}});
+    std::vector<std::pair<NodeId, NodeId>> extra;
+    for (const auto& [u, v] :
+         {std::pair<NodeId, NodeId>{6, 7}, {3, 11}, {0, 5}, {2, 3}, {1, 2}, {6, 7}, {0, 1}}) {
+        extra.emplace_back(u, v);
+        extra.emplace_back(v, u);
+    }
+    const GeometricGraph united = GeometricGraph::from_edges(points, first)
+                                      .united_with(NodeLists::group_pairs(12, extra));
     EXPECT_EQ(united, bulk);
     EXPECT_EQ(united.edge_count(), edges.size());
     EXPECT_EQ(churned.adjacency(), bulk.adjacency());

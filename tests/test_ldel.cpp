@@ -5,11 +5,14 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include "engine/thread_pool.h"
+#include "geom/predicates.h"
 #include "graph/metrics.h"
 #include "graph/planarity.h"
 #include "graph/shortest_paths.h"
 #include "proximity/classic.h"
 #include "proximity/udg.h"
+#include "random/rng.h"
 #include "test_util.h"
 #include "verify/audit.h"
 
@@ -145,6 +148,83 @@ TEST(Ldel, SingleTriangleNetwork) {
     EXPECT_EQ(tris[0], make_triangle_key(0, 1, 2));
     const auto kept = planarize_triangles(udg, tris);
     EXPECT_EQ(kept, tris);
+}
+
+/// Algorithm 3 by definition, over all O(m^2) pairs of the sorted set:
+/// of each intersecting pair, a triangle whose circumcircle strictly
+/// contains a vertex of the other goes; when neither test fires
+/// (exactly cocircular crossings) the larger key goes. `ties` counts
+/// the pairs decided by that tie-break.
+std::vector<TriangleKey> planarize_brute_force(const GeometricGraph& g,
+                                               const std::vector<TriangleKey>& tris,
+                                               std::size_t* ties) {
+    std::vector<char> removed(tris.size(), 0);
+    *ties = 0;
+    for (std::size_t i = 0; i < tris.size(); ++i) {
+        for (std::size_t j = i + 1; j < tris.size(); ++j) {
+            if (!triangles_intersect(g, tris[i], tris[j])) continue;
+            const bool remove_i = circumcircle_contains_vertex_of(g, tris[i], tris[j]);
+            const bool remove_j = circumcircle_contains_vertex_of(g, tris[j], tris[i]);
+            if (remove_i) removed[i] = 1;
+            if (remove_j || !remove_i) removed[j] = 1;
+            if (!remove_i && !remove_j) ++*ties;
+        }
+    }
+    std::vector<TriangleKey> kept;
+    for (std::size_t i = 0; i < tris.size(); ++i) {
+        if (!removed[i]) kept.push_back(tris[i]);
+    }
+    return kept;
+}
+
+TEST(Ldel, PlanarizeKernelRemovesOverlapsAtEveryLaneCount) {
+    // LDel triangle sets of random instances seldom intersect, so this
+    // feeds the kernel dense synthetic sets instead: random triangles with
+    // sides <= 1 in a 3x3 box (many crossing pairs), plus exact half-unit
+    // squares whose overlapping triangles are cocircular and reach the
+    // larger-key tie-break.
+    rnd::Xoshiro256 rng(7);
+    std::vector<geom::Point> points;
+    for (int i = 0; i < 70; ++i) points.push_back({rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)});
+    std::vector<TriangleKey> tris;
+    while (tris.size() < 300) {
+        const auto x = static_cast<graph::NodeId>(rng.below(points.size()));
+        const auto y = static_cast<graph::NodeId>(rng.below(points.size()));
+        const auto z = static_cast<graph::NodeId>(rng.below(points.size()));
+        if (x == y || y == z || x == z) continue;
+        if (geom::distance(points[x], points[y]) > 1.0 ||
+            geom::distance(points[y], points[z]) > 1.0 ||
+            geom::distance(points[x], points[z]) > 1.0 ||
+            geom::orient_sign(points[x], points[y], points[z]) == 0) {
+            continue;
+        }
+        tris.push_back(make_triangle_key(x, y, z));
+    }
+    for (const double corner : {4.0, 5.5, 7.0}) {
+        const auto base = static_cast<graph::NodeId>(points.size());
+        for (const auto& [dx, dy] : {std::pair{0.0, 0.0}, {0.5, 0.0}, {0.5, 0.5}, {0.0, 0.5}}) {
+            points.push_back({corner + dx, corner + dy});
+        }
+        // Triangles 012 and 013 (and 012 and 123) cross along the
+        // diagonals; each circumcircle passes through the fourth corner.
+        tris.push_back(make_triangle_key(base, base + 1, base + 2));
+        tris.push_back(make_triangle_key(base, base + 1, base + 3));
+        tris.push_back(make_triangle_key(base + 1, base + 2, base + 3));
+    }
+    std::sort(tris.begin(), tris.end());
+    tris.erase(std::unique(tris.begin(), tris.end()), tris.end());
+    const GeometricGraph g(points);
+
+    std::size_t ties = 0;
+    const std::vector<TriangleKey> expected = planarize_brute_force(g, tris, &ties);
+    ASSERT_LT(expected.size(), tris.size()) << "no triangle was removed";
+    ASSERT_GT(ties, 0u) << "no pair reached the tie-break";
+
+    EXPECT_EQ(planarize_triangles(g, tris), expected);
+    for (const std::size_t lanes : {1u, 2u, 8u}) {
+        engine::ThreadPool pool(lanes);
+        EXPECT_EQ(planarize_triangles(g, tris, &pool), expected) << "lanes=" << lanes;
+    }
 }
 
 }  // namespace

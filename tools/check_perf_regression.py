@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Same-machine A/B gate on single-thread construction speed.
+"""Same-machine A/B gate on construction speed at one lane count.
 
 Both inputs are JSON-lines files written by bench_engine_scaling (one
 object per measurement): BASE from a build of the merge-base, HEAD from
@@ -12,7 +12,9 @@ would pair the wrong passes). The gate forms one ratio head/base per pass pair a
 the median ratio exceeds 1 + --max-regress. Interleaving makes host
 drift hit both sides of a pair alike; the median discards a pair that
 one scheduling hiccup spoiled. The spread of the ratios is printed so a
-noisy runner shows in the log.
+noisy runner shows in the log. CI runs the gate twice over the same
+passes: --threads 1 holds the per-build work, --threads 4 catches a
+stage that stops using its lanes.
 
 Exit codes: 0 pass, 1 regression, 2 malformed/missing input.
 
@@ -106,7 +108,7 @@ def main() -> int:
     )
     if median > limit:
         print(
-            f"FAIL: single-thread construction regressed "
+            f"FAIL: {args.threads}-lane construction regressed "
             f"{100.0 * (median - 1.0):.1f}% (> {100.0 * args.max_regress:.0f}% allowed)"
         )
         return 1
