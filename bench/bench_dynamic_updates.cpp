@@ -4,7 +4,12 @@
 // the single-node-move speedup at the largest n — the localized patch
 // touches O(dirty region) state where the rebuild touches O(n).
 //
-// With GS_BENCH_JSON set, appends one JSON line per configuration
+// Per n it first prints the DynamicSpanner construction wall time and its
+// stage rows (the engine's build stages plus the patch-state "seed"
+// row) — the cold path every service start and every fallback pays.
+//
+// With GS_BENCH_JSON set, appends one "construction" JSON line per n
+// (construct_ms plus the stage rows) and one JSON line per configuration
 // (bench "dynamic_updates") carrying patch_ms, full_build_ms, speedup,
 // dirty nodes, batch- and component-level fallback accounting, and the
 // dirty-component region-size histogram. Fallback is a per-component
@@ -53,11 +58,23 @@ int main() {
         config.seed = 9000 + n;
         const auto points = core::uniform_points(config);
 
-        engine::EngineOptions eopts;
+        engine::SpannerEngine engine(engine::EngineOptions{});
+        core::PipelineStats construction;
         const auto t0 = now_ms();
-        engine::SpannerEngine engine(eopts);
-        dynamic::DynamicSpanner dyn(engine, points, radius);
-        (void)t0;
+        dynamic::DynamicSpanner dyn(engine, points, radius, &construction);
+        const double construct_ms = now_ms() - t0;
+        std::cout << "n=" << n << ": DynamicSpanner construction " << construct_ms
+                  << " ms on " << engine.thread_count() << " lanes\n"
+                  << construction.table() << "\n";
+        if (sink.enabled()) {
+            auto obj = sink.row();
+            obj.add("kind", "construction")
+                .add("n", n)
+                .add("threads", engine.thread_count())
+                .add("construct_ms", construct_ms)
+                .raw("stages", construction.json());
+            sink.emit(obj);
+        }
         const auto t1 = now_ms();
         auto full = engine.build(points, radius);
         const double full_ms = now_ms() - t1;

@@ -1,7 +1,6 @@
 #include "backends/backend.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -16,18 +15,12 @@ namespace geospanner::backends {
 
 BackendResult SpannerBackend::build_points(std::vector<geom::Point> points,
                                            double radius) {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = core::StageClock::now();
     const auto udg = proximity::build_udg(std::move(points), radius);
-    const double udg_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                  start)
-            .count();
+    const double udg_ms = core::ms_since(start);
     BackendResult result = build(udg, radius);
-    core::StageStats udg_stage;
-    udg_stage.name = "udg";
-    udg_stage.wall_ms = udg_ms;
-    udg_stage.items = udg.node_count();
-    result.stats.stages.insert(result.stats.stages.begin(), std::move(udg_stage));
+    result.stats.stages.insert(result.stats.stages.begin(),
+                               {"udg", udg_ms, udg.node_count(), 1});
     return result;
 }
 

@@ -48,12 +48,14 @@ std::string PipelineStats::json() const {
     return out.str();
 }
 
+double ms_since(StageClock::time_point start) {
+    return std::chrono::duration<double, std::milli>(StageClock::now() - start).count();
+}
+
 void push_stage(PipelineStats* stats, std::string name, StageClock::time_point start,
                 std::size_t items, std::size_t threads) {
     if (stats == nullptr) return;
-    const double ms =
-        std::chrono::duration<double, std::milli>(StageClock::now() - start).count();
-    stats->stages.push_back({std::move(name), ms, items, threads});
+    stats->stages.push_back({std::move(name), ms_since(start), items, threads});
 }
 
 TopologyReport measure_topology(std::string name, const graph::GeometricGraph& udg,

@@ -65,6 +65,9 @@ struct PipelineStats {
 /// Clock of every stage timer.
 using StageClock = std::chrono::steady_clock;
 
+/// Milliseconds elapsed since `start` on the stage clock.
+[[nodiscard]] double ms_since(StageClock::time_point start);
+
 /// Appends the row {name, milliseconds since `start`, items, threads}
 /// to `stats`; a no-op when `stats` is null.
 void push_stage(PipelineStats* stats, std::string name, StageClock::time_point start,

@@ -1,16 +1,19 @@
 #include "dynamic/spanner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
 #include <iterator>
+#include <set>
 
 #include "engine/thread_pool.h"
-#include "geom/predicates.h"
+#include "proximity/classic.h"
 
 namespace geospanner::dynamic {
 
+using core::push_stage;
+using core::StageClock;
 using graph::GeometricGraph;
 using protocol::Role;
 
@@ -18,14 +21,8 @@ namespace {
 
 /// Minimum dirty-item count before a kernel is worth the pool; smaller
 /// patches run inline (results are identical either way — kernels write
-/// index-owned slots and commit in index order).
+/// owner slices that join in owner order).
 constexpr std::size_t kParallelThreshold = 64;
-
-std::uint64_t mix64(std::uint64_t z) noexcept {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 bool sorted_insert(std::vector<graph::NodeId>& list, graph::NodeId value) {
     const auto it = std::lower_bound(list.begin(), list.end(), value);
@@ -34,12 +31,8 @@ bool sorted_insert(std::vector<graph::NodeId>& list, graph::NodeId value) {
     return true;
 }
 
-void sort_unique(std::vector<graph::NodeId>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
-void sort_unique_pairs(std::vector<std::pair<graph::NodeId, graph::NodeId>>& v) {
+template <typename T>
+void sort_unique(std::vector<T>& v) {
     std::sort(v.begin(), v.end());
     v.erase(std::unique(v.begin(), v.end()), v.end());
 }
@@ -67,79 +60,19 @@ ClusterKey cluster_key(const GeometricGraph& udg, graph::NodeId v,
     return {0, v};
 }
 
-/// Wall-clock of one stage kernel, appended to the patch's PipelineStats.
-class StageTimer {
-  public:
-    StageTimer(core::PipelineStats& stats, std::string name)
-        : stats_(stats), name_(std::move(name)),
-          start_(std::chrono::steady_clock::now()) {}
-
-    void finish(std::size_t items, std::size_t threads = 1) {
-        const auto elapsed = std::chrono::steady_clock::now() - start_;
-        core::StageStats s;
-        s.name = name_;
-        s.wall_ms =
-            std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(elapsed)
-                .count();
-        s.items = items;
-        s.threads = threads;
-        stats_.stages.push_back(std::move(s));
-    }
-
-  private:
-    core::PipelineStats& stats_;
-    std::string name_;
-    std::chrono::steady_clock::time_point start_;
-};
+/// Sets edge e of `g` to `want`; true when that changed the graph.
+bool set_edge(GeometricGraph& g, std::pair<graph::NodeId, graph::NodeId> e, bool want) {
+    return want ? g.add_edge(e.first, e.second) : g.remove_edge(e.first, e.second);
+}
 
 }  // namespace
 
-std::size_t DynamicSpanner::PairHash::operator()(Pair p) const noexcept {
-    return static_cast<std::size_t>(
-        mix64((static_cast<std::uint64_t>(p.first) << 32) | p.second));
-}
-
-std::size_t DynamicSpanner::TriHash::operator()(TriangleKey t) const noexcept {
-    std::uint64_t h = mix64((static_cast<std::uint64_t>(t.a) << 32) | t.b);
-    return static_cast<std::size_t>(mix64(h ^ (static_cast<std::uint64_t>(t.c) << 16)));
-}
-
-bool DynamicSpanner::EdgeRefs::inc(Pair e) { return ++counts[e] == 1; }
-
-bool DynamicSpanner::EdgeRefs::dec(Pair e) {
-    const auto it = counts.find(e);
-    assert(it != counts.end() && it->second > 0);
-    if (--it->second > 0) return false;
-    counts.erase(it);
-    return true;
-}
-
 void DynamicSpanner::PatchContext::reset(std::size_t n) {
-    moved.clear();
+    *this = PatchContext{};
     moved_flag.assign(n, 0);
-    joined.clear();
-    adj_changed.clear();
     adj_changed_flag.assign(n, 0);
-    udg_added.clear();
-    udg_removed.clear();
-    udg_removed_adj.clear();
-    roles_changed.clear();
-    old_role.clear();
-    dom_list_changed.clear();
-    old_dominators.clear();
-    two_hop_changed.clear();
-    connector_changed.clear();
-    backbone_changed.clear();
-    icds_added.clear();
-    icds_removed.clear();
     icds_adj_changed_flag.assign(n, 0);
-    icds_adj_changed.clear();
-    icds_removed_adj.clear();
-    ldel_dirty.clear();
-    kept_added.clear();
-    kept_removed.clear();
     dirty_union.assign(n, 0);
-    dirty_count = 0;
 }
 
 void DynamicSpanner::PatchContext::touch(NodeId v) {
@@ -151,10 +84,10 @@ void DynamicSpanner::PatchContext::touch(NodeId v) {
 // ---- Construction ----------------------------------------------------
 
 DynamicSpanner::DynamicSpanner(engine::SpannerEngine& engine,
-                               std::vector<geom::Point> points, double radius)
+                               std::vector<geom::Point> points, double radius,
+                               core::PipelineStats* stats)
     : engine_(&engine), radius_(radius), points_(std::move(points)) {
     assert(radius_ > 0.0);
-    PatchStats stats;
     rebuild_from_scratch(stats);
 }
 
@@ -174,8 +107,9 @@ void DynamicSpanner::append_node(geom::Point p) {
     backbone_.cluster.two_hop_dominators_of.append_list();
     backbone_.is_connector.push_back(false);
     backbone_.in_backbone.push_back(false);
-    connector_refs_.push_back(0);
-    local_tris_.emplace_back();
+    elected_.append();
+    local_.append();
+    ldel1_.append();
 }
 
 void DynamicSpanner::apply_positions_only(const UpdateBatch& batch) {
@@ -191,113 +125,61 @@ void DynamicSpanner::apply_positions_only(const UpdateBatch& batch) {
     }
 }
 
-void DynamicSpanner::rebuild_from_scratch(PatchStats& stats) {
+void DynamicSpanner::rebuild_from_scratch(core::PipelineStats* stats) {
+    engine::ThreadPool& pool = engine_->pool();
+    const engine::EngineOptions& opts = engine_->options();
+    udg_ = engine::build_udg_staged(pool, points_, radius_, stats);
+    engine::BuildIntermediates seeds;
+    backbone_ = engine::build_backbone_staged(pool, udg_, opts, stats, nullptr, &seeds);
+
+    // Seed the patch state from the kernels' own per-owner outputs.
+    const auto start = StageClock::now();
     const std::size_t n = points_.size();
     grid_ = DynamicCellGrid(points_, radius_);
-    udg_ = engine::build_udg_staged(engine_->pool(), points_, radius_, &stats.pipeline);
-
-    backbone_ = core::Backbone{};
-    backbone_.cluster.role.assign(n, Role::kDominatee);
-    backbone_.cluster.dominators_of = graph::NodeLists(n);
-    backbone_.cluster.two_hop_dominators_of = graph::NodeLists(n);
-    backbone_.is_connector.assign(n, false);
-    backbone_.in_backbone.assign(n, false);
-    backbone_.cds = GeometricGraph(points_);
-    backbone_.cds_prime = GeometricGraph(points_);
-    backbone_.icds = GeometricGraph(points_);
-    backbone_.icds_prime = GeometricGraph(points_);
-    backbone_.ldel_icds = GeometricGraph(points_);
-    backbone_.ldel_icds_prime = GeometricGraph(points_);
-
-    pairs_a_.clear();
-    pairs_b_.clear();
-    connector_refs_.assign(n, 0);
-    cds_refs_.clear();
-    local_tris_.assign(n, {});
-    ldel1_.clear();
-    kept_.clear();
-    tri_bins_.clear();
-    tri_grid_.clear();
-    gabriel_.clear();
-    ldel_icds_refs_.clear();
-    cds_prime_refs_.clear();
-    icds_prime_refs_.clear();
-    ldel_icds_prime_refs_.clear();
-
-    // Everything dirty: the patch kernels then perform the full build,
-    // so the from-scratch and incremental paths share one code path.
-    PatchContext ctx;
-    ctx.reset(n);
-    ctx.moved.reserve(n);
-    ctx.adj_changed.reserve(n);
-    for (NodeId v = 0; v < n; ++v) {
-        ctx.moved.push_back(v);
-        ctx.moved_flag[v] = 1;
-        ctx.adj_changed.push_back(v);
-        ctx.adj_changed_flag[v] = 1;
-        ctx.touch(v);
+    elected_ = OwnerSlices<Pair>(seeds.connectors.offsets, std::move(seeds.connectors.links));
+    if (opts.planarizer == core::Planarizer::kLdel1) {
+        local_ = OwnerSlices<TriangleKey>(seeds.local.offsets, std::move(seeds.local.keys));
+        // The LDel¹ set is sorted, so grouping it by least corner is a
+        // count and a prefix sum.
+        std::vector<std::size_t> offsets(n + 1, 0);
+        for (const TriangleKey& t : seeds.ldel1) ++offsets[t.a + 1];
+        for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+        ldel1_ = OwnerSlices<TriangleKey>(offsets, std::move(seeds.ldel1));
+    } else {
+        // kLdel2 never patches: every batch rebuilds.
+        local_ = OwnerSlices<TriangleKey>(n);
+        ldel1_ = OwnerSlices<TriangleKey>(n);
     }
-
-    {
-        StageTimer t(stats.pipeline, "cluster-patch");
-        (void)run_cluster_cascade(ctx, /*cap=*/static_cast<std::size_t>(-1));
-        t.finish(n);
-    }
-    {
-        StageTimer t(stats.pipeline, "connectors-patch");
-        stage_connectors(ctx);
-        t.finish(ctx.pairs_recomputed());
-    }
-    {
-        StageTimer t(stats.pipeline, "icds-patch");
-        stage_icds(ctx);
-        t.finish(ctx.backbone_changed.size());
-    }
-    {
-        StageTimer t(stats.pipeline, "ldel-patch");
-        stage_ldel(ctx, stats);
-        t.finish(ctx.ldel_dirty.size(), engine_->thread_count());
-    }
-    {
-        StageTimer t(stats.pipeline, "gabriel-patch");
-        stage_gabriel(ctx);
-        t.finish(backbone_.icds.edge_count(), engine_->thread_count());
-    }
-    {
-        StageTimer t(stats.pipeline, "assemble-patch");
-        stage_assemble(ctx);
-        t.finish(ctx.dom_list_changed.size());
-    }
-
-    stats.dirty_nodes = n;
-    stats.roles_changed = ctx.roles_changed.size();
+    push_stage(stats, "seed", start, n, 1);
 }
 
 // ---- apply -----------------------------------------------------------
 
 PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
     PatchStats stats;
+    const auto fall_back = [&] {
+        rebuild_from_scratch(&stats.pipeline);
+        stats.fell_back = true;
+        stats.dirty_nodes = points_.size();
+        return stats;
+    };
     const engine::EngineOptions& opts = engine_->options();
     const bool incremental_ok = opts.incremental &&
                                 opts.planarizer == core::Planarizer::kLdel1 &&
                                 batch.leaves.empty();
     if (!incremental_ok) {
         apply_positions_only(batch);
-        rebuild_from_scratch(stats);
-        stats.fell_back = true;
-        return stats;
+        return fall_back();
     }
 
     const std::size_t n_after = points_.size() + batch.joins.size();
     PatchContext ctx;
     ctx.reset(n_after);
 
-    {
-        StageTimer t(stats.pipeline, "udg-patch");
-        stage_udg(batch, ctx);
-        t.finish(ctx.udg_added.size() + ctx.udg_removed.size());
-    }
+    auto start = StageClock::now();
+    stage_udg(batch, ctx);
     stats.udg_edge_changes = ctx.udg_added.size() + ctx.udg_removed.size();
+    push_stage(&stats.pipeline, "udg-patch", start, stats.udg_edge_changes, 1);
 
     // Whole-batch gate: the dirty region every later stage works from
     // is bounded by the 2-hop closure (over old ∪ new adjacency) of the
@@ -316,24 +198,13 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
     const std::size_t total_cap = static_cast<std::size_t>(
         opts.incremental_options.total_rebuild_fraction * static_cast<double>(n_after));
     const auto region = expand_hops(udg_, ctx.udg_removed_adj, seeds, 2);
-    if (region.size() > total_cap) {
-        rebuild_from_scratch(stats);
-        stats.fell_back = true;
-        return stats;
-    }
+    if (region.size() > total_cap) return fall_back();
     for (const NodeId v : region) ctx.touch(v);
 
-    bool cascade_ok = true;
-    {
-        StageTimer t(stats.pipeline, "cluster-patch");
-        cascade_ok = run_cluster_cascade(ctx, total_cap);
-        t.finish(ctx.roles_changed.size());
-    }
-    if (!cascade_ok) {
-        rebuild_from_scratch(stats);
-        stats.fell_back = true;
-        return stats;
-    }
+    start = StageClock::now();
+    const bool cascade_ok = run_cluster_cascade(ctx, total_cap);
+    push_stage(&stats.pipeline, "cluster-patch", start, ctx.roles_changed.size(), 1);
+    if (!cascade_ok) return fall_back();
 
     // Decompose the connector-stage seed set into connected dirty
     // components and make the rebuild decision per component: only a
@@ -341,20 +212,17 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
     // fallback, so many small far-apart updates stay localized.
     const std::size_t merge_hops =
         std::max<std::size_t>(opts.incremental_options.component_merge_hops, 8);
-    std::vector<DirtyComponent> comps;
-    {
-        StageTimer t(stats.pipeline, "decompose-patch");
-        // Seeds: the connector-stage set c2 plus every moved node — a
-        // move that changed no UDG edge still dirties the LDel/Gabriel
-        // stages, so it must occupy a component (and count against the
-        // caps). Planning with the superset only re-runs elections
-        // whose inputs are unchanged, which is idempotent.
-        std::vector<NodeId> comp_seeds = build_c2(ctx);
-        comp_seeds.insert(comp_seeds.end(), ctx.moved.begin(), ctx.moved.end());
-        sort_unique(comp_seeds);
-        comps = decompose_components(ctx, comp_seeds, merge_hops);
-        t.finish(comps.size());
-    }
+    start = StageClock::now();
+    // Seeds: the connector-stage set c2 plus every moved node — a move
+    // that changed no UDG edge still dirties the LDel/Gabriel stages, so
+    // it must occupy a component (and count against the caps).
+    // Re-electing with the superset only reruns elections whose inputs
+    // are unchanged, which is idempotent.
+    std::vector<NodeId> comp_seeds = build_c2(ctx);
+    comp_seeds.insert(comp_seeds.end(), ctx.moved.begin(), ctx.moved.end());
+    sort_unique(comp_seeds);
+    std::vector<DirtyComponent> comps = decompose_components(ctx, comp_seeds, merge_hops);
+    push_stage(&stats.pipeline, "decompose-patch", start, comps.size(), 1);
     stats.separation_hops = merge_hops + 1;
     std::size_t region_total = 0;
     for (DirtyComponent& comp : comps) {
@@ -364,44 +232,37 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
         ComponentStats cs;
         cs.seed_count = comp.seeds.size();
         cs.over_cap = comp.over_cap;
-        cs.region = comp.region;
+        cs.region = std::move(comp.region);
         stats.components.push_back(std::move(cs));
     }
-    if (stats.component_fallbacks > 0 || region_total > total_cap) {
-        rebuild_from_scratch(stats);
-        stats.fell_back = true;
-        return stats;
-    }
-    {
-        StageTimer t(stats.pipeline, "connectors-patch");
-        stage_connectors_componentwise(ctx, comps);
-        t.finish(ctx.pairs_recomputed(),
-                 comps.size() > 1 ? engine_->thread_count() : 1);
-    }
-    {
-        StageTimer t(stats.pipeline, "icds-patch");
-        stage_icds(ctx);
-        t.finish(ctx.icds_added.size() + ctx.icds_removed.size());
-    }
-    {
-        StageTimer t(stats.pipeline, "ldel-patch");
-        stage_ldel(ctx, stats);
-        t.finish(ctx.ldel_dirty.size());
-    }
-    {
-        StageTimer t(stats.pipeline, "gabriel-patch");
-        stage_gabriel(ctx);
-        t.finish(ctx.ldel_dirty.size());
-    }
-    {
-        StageTimer t(stats.pipeline, "assemble-patch");
-        stage_assemble(ctx);
-        t.finish(ctx.dom_list_changed.size());
-    }
+    if (stats.component_fallbacks > 0 || region_total > total_cap) return fall_back();
+
+    start = StageClock::now();
+    stage_connectors(ctx, comp_seeds);
+    push_stage(&stats.pipeline, "connectors-patch", start, ctx.owners_reelected,
+               pool_for(ctx.owners_reelected) != nullptr ? engine_->thread_count() : 1);
+
+    start = StageClock::now();
+    stage_icds(ctx);
+    push_stage(&stats.pipeline, "icds-patch", start,
+               ctx.icds_added.size() + ctx.icds_removed.size(), 1);
+
+    start = StageClock::now();
+    stage_ldel(ctx, stats);
+    push_stage(&stats.pipeline, "ldel-patch", start, ctx.ldel_dirty.size(),
+               pool_for(ctx.ldel_dirty.size()) != nullptr ? engine_->thread_count() : 1);
+
+    start = StageClock::now();
+    stage_ldel_edges(ctx);
+    push_stage(&stats.pipeline, "gabriel-patch", start, ctx.ldel_changed.size(), 1);
+
+    start = StageClock::now();
+    stage_assemble(ctx);
+    push_stage(&stats.pipeline, "assemble-patch", start, ctx.dom_list_changed.size(), 1);
 
     stats.dirty_nodes = ctx.dirty_count;
     stats.roles_changed = ctx.roles_changed.size();
-    stats.pairs_recomputed = ctx.pairs_recomputed();
+    stats.owners_reelected = ctx.owners_reelected;
     return stats;
 }
 
@@ -423,10 +284,12 @@ void DynamicSpanner::stage_udg(const UpdateBatch& batch, PatchContext& ctx) {
         if (ctx.moved_flag[mv.node] == 0) {
             ctx.moved_flag[mv.node] = 1;
             ctx.moved.push_back(mv.node);
+            ctx.moved_from.emplace_back(mv.node, old);
             ctx.touch(mv.node);
         }
     }
     sort_unique(ctx.moved);
+    std::ranges::sort(ctx.moved_from, {}, &std::pair<NodeId, geom::Point>::first);
     for (const NodeId v : ctx.moved) {
         udg_.set_point(v, points_[v]);
         backbone_.cds.set_point(v, points_[v]);
@@ -496,8 +359,8 @@ void DynamicSpanner::stage_udg(const UpdateBatch& batch, PatchContext& ctx) {
         }
     }
     sort_unique(ctx.adj_changed);
-    sort_unique_pairs(ctx.udg_added);
-    sort_unique_pairs(ctx.udg_removed);
+    sort_unique(ctx.udg_added);
+    sort_unique(ctx.udg_removed);
     for (auto& [v, list] : ctx.udg_removed_adj) sort_unique(list);
 }
 
@@ -610,48 +473,7 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
     return true;
 }
 
-// ---- Stage 2: connector pair elections -------------------------------
-
-bool DynamicSpanner::wins(NodeId w, const std::vector<NodeId>& candidates) const {
-    // Matches find_connectors: w wins iff no smaller-id candidate of
-    // the same pair is UDG-adjacent to it. Candidate lists are built in
-    // ascending id order, so the scan stops at w.
-    for (const NodeId c : candidates) {
-        if (c >= w) break;
-        if (udg_.has_edge(c, w)) return false;
-    }
-    return true;
-}
-
-bool DynamicSpanner::delete_pair(PairLedger& ledger, Pair key,
-                                 std::vector<NodeId>& conn_touched) {
-    const auto it = ledger.entries.find(key);
-    if (it == ledger.entries.end()) return false;
-    for (const NodeId c : it->second.connectors) {
-        if (--connector_refs_[c] == 0) conn_touched.push_back(c);
-    }
-    for (const Pair& e : it->second.edges) cds_edge_dec(e);
-    ledger.by_node[key.first].erase(key);
-    ledger.by_node[key.second].erase(key);
-    ledger.entries.erase(it);
-    return true;
-}
-
-void DynamicSpanner::commit_pair(PairLedger& ledger, Pair key, PairOutcome outcome,
-                                 std::vector<NodeId>& conn_touched) {
-    if (outcome.connectors.empty() && outcome.edges.empty()) return;
-    sort_unique(outcome.connectors);
-    sort_unique_pairs(outcome.edges);
-    for (const NodeId c : outcome.connectors) {
-        if (connector_refs_[c]++ == 0) conn_touched.push_back(c);
-    }
-    for (const Pair& e : outcome.edges) cds_edge_inc(e);
-    ledger.by_node[key.first].insert(key);
-    ledger.by_node[key.second].insert(key);
-    const bool inserted = ledger.entries.emplace(key, std::move(outcome)).second;
-    assert(inserted);
-    (void)inserted;
-}
+// ---- Dirty components ------------------------------------------------
 
 std::vector<graph::NodeId> DynamicSpanner::build_c2(const PatchContext& ctx) const {
     // C2: nodes whose election-relevant state changed (adjacency, role,
@@ -748,207 +570,61 @@ std::vector<DynamicSpanner::DirtyComponent> DynamicSpanner::decompose_components
     return comps;
 }
 
-void DynamicSpanner::plan_connectors(const PatchContext& ctx,
-                                     const std::vector<NodeId>& c2,
-                                     ConnectorPlan& plan) const {
+// ---- Stage 2: connector elections -------------------------------------
+
+void DynamicSpanner::stage_connectors(PatchContext& ctx, const std::vector<NodeId>& seeds) {
     const auto& cluster = backbone_.cluster;
 
-    // Delete every ledger pair with a dirty-dominator endpoint in this
-    // component's S2 and re-run its election. Everything here reads the
-    // frozen pre-commit state only — ctx dirty sets, the UDG, the
-    // cluster lists, and the ledgers are not mutated until commit.
-    const auto s2 = expand_hops(udg_, ctx.udg_removed_adj, c2, 2);
-    plan.touched = s2;
-
-    std::vector<NodeId> dirty_dominators;
+    // A dominator's elections read its 2-hop ball only (candidates are
+    // its neighbours, second legs their neighbours), so a slice can
+    // change only when an election input changed within 2 hops of its
+    // owner: the dirty owners are the dominators, old or new, of the
+    // 2-hop closure of the seeds over old ∪ new adjacency.
+    const auto s2 = expand_hops(udg_, ctx.udg_removed_adj, seeds, 2);
+    std::vector<NodeId> owners;
     for (const NodeId d : s2) {
-        const bool is_now = cluster.role[d] == Role::kDominator;
+        ctx.touch(d);
         const auto it = ctx.old_role.find(d);
-        const bool was = it != ctx.old_role.end() ? it->second == Role::kDominator
-                                                  : is_now;
-        if (is_now || was) dirty_dominators.push_back(d);
+        const bool was = it != ctx.old_role.end() && it->second == Role::kDominator;
+        if (cluster.is_dominator(d) || was) owners.push_back(d);
     }
+    ctx.owners_reelected = owners.size();
+    const protocol::ConnectorSlices fresh =
+        protocol::elect_connectors_at(udg_, cluster, owners, pool_for(owners.size()));
 
-    std::vector<std::pair<int, Pair>> deletions;
-    for (const NodeId d : dirty_dominators) {
-        for (const int which : {0, 1}) {
-            const PairLedger& ledger = which == 0 ? pairs_a_ : pairs_b_;
-            const auto idx = ledger.by_node.find(d);
-            if (idx == ledger.by_node.end()) continue;
-            for (const Pair& key : idx->second) deletions.emplace_back(which, key);
+    // Commit in owner order. A link a slice gained is in the CDS; a link
+    // it lost stays while another slice still holds it.
+    std::vector<Pair> dropped;
+    for (std::size_t k = 0; k < owners.size(); ++k) {
+        const std::span<const Pair> now(fresh.links.data() + fresh.offsets[k],
+                                        fresh.offsets[k + 1] - fresh.offsets[k]);
+        const auto old = elected_[owners[k]];
+        if (std::ranges::equal(now, old)) continue;
+        std::vector<Pair> gained;
+        std::ranges::set_difference(now, old, std::back_inserter(gained));
+        std::ranges::set_difference(old, now, std::back_inserter(dropped));
+        elected_.assign(owners[k], now);
+        for (const Pair& e : gained) {
+            if (backbone_.cds.add_edge(e.first, e.second)) ctx.cds_changed.push_back(e);
         }
     }
+    sort_unique(dropped);
+    for (const Pair& e : dropped) {
+        if (!cds_link_elected(e) && backbone_.cds.remove_edge(e.first, e.second)) {
+            ctx.cds_changed.push_back(e);
+        }
+    }
+    sort_unique(ctx.cds_changed);
 
-    // Re-elect every pair with a recompute-dominator endpoint. All its
-    // candidate generators w lie within 2 hops of that endpoint, so one
-    // ascending scan of W2 rebuilds the candidate lists in the same
-    // node-id order find_connectors produces.
-    std::vector<NodeId> rec;
-    std::vector<char> rec_flag(points_.size(), 0);
-    for (const NodeId d : dirty_dominators) {
-        if (cluster.role[d] == Role::kDominator) {
-            rec.push_back(d);
-            rec_flag[d] = 1;
-        }
+    // A connector is a dominatee endpoint of an elected link.
+    std::vector<NodeId> settle = ctx.roles_changed;
+    for (const auto& [a, b] : ctx.cds_changed) {
+        settle.push_back(a);
+        settle.push_back(b);
     }
-    const auto w2 = expand_hops(udg_, ctx.udg_removed_adj, rec, 2);
-
-    // Candidate lists as flat (pair, w) tuples grouped by a stable sort
-    // — the w2 scan emits w ascending, so each group keeps the ascending
-    // candidate order the elections expect, without per-pair map nodes.
-    std::vector<std::pair<Pair, NodeId>> cand_a;
-    std::vector<std::pair<Pair, NodeId>> cand_b;
-    for (const NodeId w : w2) {
-        const auto& doms = cluster.dominators_of[w];
-        for (std::size_t i = 0; i < doms.size(); ++i) {
-            for (std::size_t j = i + 1; j < doms.size(); ++j) {
-                if (rec_flag[doms[i]] != 0 || rec_flag[doms[j]] != 0) {
-                    cand_a.push_back({{doms[i], doms[j]}, w});
-                }
-            }
-        }
-        for (const NodeId u : doms) {
-            for (const NodeId v : cluster.two_hop_dominators_of[w]) {
-                if (rec_flag[u] != 0 || rec_flag[v] != 0) {
-                    cand_b.push_back({{u, v}, w});
-                }
-            }
-        }
-    }
-    const auto by_pair = [](const std::pair<Pair, NodeId>& a,
-                            const std::pair<Pair, NodeId>& b) {
-        return a.first < b.first;
-    };
-    std::stable_sort(cand_a.begin(), cand_a.end(), by_pair);
-    std::stable_sort(cand_b.begin(), cand_b.end(), by_pair);
-
-    // A re-elected outcome identical to the pair's retained ledger
-    // entry makes its delete + recommit a refcount no-op: record the
-    // key as retained (ascending — groups iterate in pair order) and
-    // emit neither. Ledger outcomes are stored deduplicated, so the
-    // comparison needs the planned outcome in the same form.
-    std::vector<Pair> retained_a;
-    std::vector<Pair> retained_b;
-    const auto settle = [](PairOutcome& outcome) {
-        sort_unique(outcome.connectors);
-        sort_unique_pairs(outcome.edges);
-    };
-    const auto unchanged = [](const PairLedger& ledger, Pair key,
-                              const PairOutcome& outcome) {
-        const auto it = ledger.entries.find(key);
-        return it != ledger.entries.end() &&
-               it->second.connectors == outcome.connectors &&
-               it->second.edges == outcome.edges;
-    };
-
-    // Phase A: dominators two hops apart, unordered pairs.
-    std::vector<NodeId> candidates;
-    for (std::size_t lo = 0; lo < cand_a.size();) {
-        const Pair pair = cand_a[lo].first;
-        candidates.clear();
-        for (; lo < cand_a.size() && cand_a[lo].first == pair; ++lo) {
-            candidates.push_back(cand_a[lo].second);
-        }
-        ++plan.pairs_reelected;
-        PairOutcome outcome;
-        for (const NodeId w : candidates) {
-            if (!wins(w, candidates)) continue;
-            outcome.connectors.push_back(w);
-            outcome.edges.push_back(norm(pair.first, w));
-            outcome.edges.push_back(norm(w, pair.second));
-        }
-        settle(outcome);
-        if (unchanged(pairs_a_, pair, outcome)) {
-            retained_a.push_back(pair);
-            ++plan.pairs_retained;
-            continue;
-        }
-        plan.commits_a.emplace_back(pair, std::move(outcome));
-    }
-
-    // Phases B+C: ordered pairs (u, v) three hops apart — first-leg
-    // winners among u's dominatees, then the second-leg election among
-    // v's dominatees audible from a first-leg winner.
-    for (std::size_t lo = 0; lo < cand_b.size();) {
-        const Pair pair = cand_b[lo].first;
-        candidates.clear();
-        for (; lo < cand_b.size() && cand_b[lo].first == pair; ++lo) {
-            candidates.push_back(cand_b[lo].second);
-        }
-        ++plan.pairs_reelected;
-        PairOutcome outcome;
-        std::vector<NodeId> winners;
-        for (const NodeId w : candidates) {
-            if (!wins(w, candidates)) continue;
-            winners.push_back(w);
-            outcome.connectors.push_back(w);
-            outcome.edges.push_back(norm(pair.first, w));
-        }
-        if (!winners.empty()) {
-            std::set<NodeId> second;
-            std::map<NodeId, std::vector<NodeId>> audible;
-            for (const NodeId w : winners) {
-                for (const NodeId x : udg_.neighbors(w)) {
-                    const auto& doms = cluster.dominators_of[x];
-                    if (std::binary_search(doms.begin(), doms.end(), pair.second)) {
-                        second.insert(x);
-                        audible[x].push_back(w);
-                    }
-                }
-            }
-            const std::vector<NodeId> second_candidates(second.begin(), second.end());
-            for (const NodeId x : second_candidates) {
-                if (!wins(x, second_candidates)) continue;
-                outcome.connectors.push_back(x);
-                outcome.edges.push_back(norm(x, pair.second));
-                for (const NodeId w : audible[x]) outcome.edges.push_back(norm(x, w));
-            }
-        }
-        settle(outcome);
-        if (unchanged(pairs_b_, pair, outcome)) {
-            retained_b.push_back(pair);
-            ++plan.pairs_retained;
-            continue;
-        }
-        plan.commits_b.emplace_back(pair, std::move(outcome));
-    }
-
-    // Deletions, minus the retained keys.
-    plan.deletions.reserve(deletions.size());
-    for (const auto& [which, key] : deletions) {
-        const auto& retained = which == 0 ? retained_a : retained_b;
-        if (std::binary_search(retained.begin(), retained.end(), key)) continue;
-        plan.deletions.emplace_back(which, key);
-    }
-}
-
-void DynamicSpanner::commit_connector_plan(ConnectorPlan& plan, PatchContext& ctx,
-                                           std::vector<NodeId>& conn_touched) {
-    for (const NodeId v : plan.touched) ctx.touch(v);
-    // A pair with both endpoints dirty in the same component is planned
-    // for deletion twice; delete_pair is idempotent and only real
-    // deletions count (matching the monolithic path, where the first
-    // deletion removed the pair from the second endpoint's index).
-    std::size_t deleted = 0;
-    for (const auto& [which, key] : plan.deletions) {
-        PairLedger& ledger = which == 0 ? pairs_a_ : pairs_b_;
-        if (delete_pair(ledger, key, conn_touched)) ++deleted;
-    }
-    for (auto& [key, outcome] : plan.commits_a) {
-        commit_pair(pairs_a_, key, std::move(outcome), conn_touched);
-    }
-    for (auto& [key, outcome] : plan.commits_b) {
-        commit_pair(pairs_b_, key, std::move(outcome), conn_touched);
-    }
-    ctx.pairs_deleted += deleted;
-    ctx.pairs_reelected += plan.pairs_reelected;
-}
-
-void DynamicSpanner::settle_connector_flags(std::vector<NodeId>& conn_touched,
-                                            PatchContext& ctx) {
-    sort_unique(conn_touched);
-    for (const NodeId c : conn_touched) {
-        const bool now = connector_refs_[c] > 0;
+    sort_unique(settle);
+    for (const NodeId c : settle) {
+        const bool now = !cluster.is_dominator(c) && backbone_.cds.degree(c) > 0;
         if (backbone_.is_connector[c] != now) {
             backbone_.is_connector[c] = now;
             ctx.connector_changed.push_back(c);
@@ -957,66 +633,38 @@ void DynamicSpanner::settle_connector_flags(std::vector<NodeId>& conn_touched,
     }
 }
 
-void DynamicSpanner::stage_connectors(PatchContext& ctx) {
-    ConnectorPlan plan;
-    plan_connectors(ctx, build_c2(ctx), plan);
-    std::vector<NodeId> conn_touched;
-    commit_connector_plan(plan, ctx, conn_touched);
-    settle_connector_flags(conn_touched, ctx);
-}
-
-void DynamicSpanner::stage_connectors_componentwise(
-    PatchContext& ctx, const std::vector<DirtyComponent>& comps) {
-    // Plans are read-only against the frozen state and component
-    // regions are disjoint, so planning parallelizes freely; commits
-    // mutate the shared ledgers/refcounts/graphs and run serially in
-    // deterministic component order. Disjointness makes the serial
-    // commit order immaterial to the result — the output is
-    // edge-identical to the monolithic path at any thread count.
-    std::vector<ConnectorPlan> plans(comps.size());
-    const auto body = [&](std::size_t i) {
-        plan_connectors(ctx, comps[i].seeds, plans[i]);
+bool DynamicSpanner::cds_link_elected(Pair e) const {
+    // Every link of a slice has an endpoint within 2 hops of its owner,
+    // so the owners that can hold e lie within 2 hops of an endpoint.
+    const auto held_by = [&](NodeId x) {
+        return backbone_.cluster.is_dominator(x) && elected_.contains(x, e);
     };
-    if (comps.size() > 1) {
-        engine_->pool().parallel_for(0, comps.size(), body);
-    } else {
-        for (std::size_t i = 0; i < comps.size(); ++i) body(i);
+    for (const NodeId end : {e.first, e.second}) {
+        if (held_by(end)) return true;
+        for (const NodeId w : udg_.neighbors(end)) {
+            if (held_by(w)) return true;
+            for (const NodeId x : udg_.neighbors(w)) {
+                if (held_by(x)) return true;
+            }
+        }
     }
-    std::vector<NodeId> conn_touched;
-    for (ConnectorPlan& plan : plans) commit_connector_plan(plan, ctx, conn_touched);
-    settle_connector_flags(conn_touched, ctx);
+    return false;
 }
 
 // ---- Stage 3: induced backbone (ICDS) --------------------------------
 
-void DynamicSpanner::icds_edge_added(NodeId u, NodeId v, PatchContext& ctx) {
-    const Pair e = norm(u, v);
-    ctx.icds_added.push_back(e);
-    for (const NodeId x : {u, v}) {
-        if (ctx.icds_adj_changed_flag[x] == 0) {
-            ctx.icds_adj_changed_flag[x] = 1;
-            ctx.icds_adj_changed.push_back(x);
-        }
-    }
-    if (icds_prime_refs_.inc(e)) backbone_.icds_prime.add_edge(e.first, e.second);
-}
-
-void DynamicSpanner::icds_edge_removed(NodeId u, NodeId v, PatchContext& ctx) {
-    const Pair e = norm(u, v);
-    ctx.icds_removed.push_back(e);
-    ctx.icds_removed_adj[u].push_back(v);
-    ctx.icds_removed_adj[v].push_back(u);
-    for (const NodeId x : {u, v}) {
-        if (ctx.icds_adj_changed_flag[x] == 0) {
-            ctx.icds_adj_changed_flag[x] = 1;
-            ctx.icds_adj_changed.push_back(x);
-        }
-    }
-    if (icds_prime_refs_.dec(e)) backbone_.icds_prime.remove_edge(e.first, e.second);
-}
-
 void DynamicSpanner::stage_icds(PatchContext& ctx) {
     auto& in_backbone = backbone_.in_backbone;
+    auto& icds = backbone_.icds;
+    const auto record = [&](std::vector<Pair>& delta, NodeId u, NodeId v) {
+        delta.push_back(norm(u, v));
+        for (const NodeId x : {u, v}) {
+            if (ctx.icds_adj_changed_flag[x] == 0) {
+                ctx.icds_adj_changed_flag[x] = 1;
+                ctx.icds_adj_changed.push_back(x);
+            }
+        }
+    };
 
     std::vector<NodeId> flips = ctx.roles_changed;
     flips.insert(flips.end(), ctx.connector_changed.begin(),
@@ -1037,103 +685,67 @@ void DynamicSpanner::stage_icds(PatchContext& ctx) {
     // flips: a node entering the backbone gains its UDG edges to other
     // backbone nodes, a node leaving drops every incident ICDS edge.
     for (const auto& [u, v] : ctx.udg_added) {
-        if (in_backbone[u] && in_backbone[v] && backbone_.icds.add_edge(u, v)) {
-            icds_edge_added(u, v, ctx);
+        if (in_backbone[u] && in_backbone[v] && icds.add_edge(u, v)) {
+            record(ctx.icds_added, u, v);
         }
     }
     for (const auto& [u, v] : ctx.udg_removed) {
-        if (backbone_.icds.remove_edge(u, v)) icds_edge_removed(u, v, ctx);
+        if (icds.remove_edge(u, v)) record(ctx.icds_removed, u, v);
     }
     std::vector<NodeId> incident;
     for (const NodeId v : ctx.backbone_changed) {
         if (in_backbone[v]) {
             for (const NodeId u : udg_.neighbors(v)) {
-                if (in_backbone[u] && backbone_.icds.add_edge(v, u)) {
-                    icds_edge_added(v, u, ctx);
-                }
+                if (in_backbone[u] && icds.add_edge(v, u)) record(ctx.icds_added, v, u);
             }
         } else {
-            incident.assign(backbone_.icds.neighbors(v).begin(),
-                            backbone_.icds.neighbors(v).end());
+            incident.assign(icds.neighbors(v).begin(), icds.neighbors(v).end());
             for (const NodeId u : incident) {
-                if (backbone_.icds.remove_edge(v, u)) icds_edge_removed(v, u, ctx);
+                if (icds.remove_edge(v, u)) record(ctx.icds_removed, v, u);
             }
         }
     }
     sort_unique(ctx.icds_adj_changed);
-    sort_unique_pairs(ctx.icds_added);
-    sort_unique_pairs(ctx.icds_removed);
-    for (auto& [v, list] : ctx.icds_removed_adj) sort_unique(list);
+    sort_unique(ctx.icds_added);
+    sort_unique(ctx.icds_removed);
 }
 
-// ---- Stage 4: LDel¹ triangles + Algorithm-3 survival -----------------
+// ---- Stage 4: LDel¹ triangles + Algorithm 3 survival -----------------
 
-DynamicSpanner::TriBin DynamicSpanner::bin_of(TriangleKey t) const {
-    const geom::Point pa = points_[t.a];
-    const geom::Point pb = points_[t.b];
-    const geom::Point pc = points_[t.c];
-    TriBin bin;
-    bin.min_x = std::min({pa.x, pb.x, pc.x});
-    bin.max_x = std::max({pa.x, pb.x, pc.x});
-    bin.min_y = std::min({pa.y, pb.y, pc.y});
-    bin.max_y = std::max({pa.y, pb.y, pc.y});
-    bin.cell = proximity::cell_of({bin.min_x, bin.min_y}, radius_);
-    return bin;
+DynamicSpanner::Box DynamicSpanner::box_of(geom::Point a, geom::Point b, geom::Point c) {
+    return {std::min({a.x, b.x, c.x}), std::max({a.x, b.x, c.x}),
+            std::min({a.y, b.y, c.y}), std::max({a.y, b.y, c.y})};
 }
 
-void DynamicSpanner::tri_insert(TriangleKey t) {
-    const TriBin bin = bin_of(t);
-    tri_bins_.emplace(t, bin);
-    tri_grid_[bin.cell].push_back(t);
-}
-
-void DynamicSpanner::tri_remove(TriangleKey t) {
-    const auto it = tri_bins_.find(t);
-    assert(it != tri_bins_.end());
-    auto& cell = tri_grid_[it->second.cell];
-    cell.erase(std::find(cell.begin(), cell.end(), t));
-    if (cell.empty()) tri_grid_.erase(it->second.cell);
-    tri_bins_.erase(it);
-}
-
-bool DynamicSpanner::removed_by_partner(TriangleKey t, TriangleKey r) const {
-    // Algorithm 3's pairwise rule, oriented for "does r remove t":
-    // remove the triangle whose circumcircle strictly contains a vertex
-    // of the other; when neither test fires on an intersecting pair
-    // (exactly cocircular corners), remove the larger key — matching
-    // Alg3Filter's deterministic tie-break.
-    if (!proximity::triangles_intersect(backbone_.icds, t, r)) return false;
-    if (proximity::circumcircle_contains_vertex_of(backbone_.icds, t, r)) return true;
-    if (proximity::circumcircle_contains_vertex_of(backbone_.icds, r, t)) return false;
-    return r < t;
-}
-
-bool DynamicSpanner::survives_alg3(TriangleKey t) const {
-    // Partner enumeration over the bbox buckets: every LDel¹ triangle
-    // has sides <= radius, so any partner's min corner lies within one
-    // cell (= radius) below t's box and never above its max corner.
-    const TriBin bin = tri_bins_.at(t);
-    const auto lo = proximity::cell_of({bin.min_x - radius_, bin.min_y - radius_}, radius_);
-    const auto hi = proximity::cell_of({bin.max_x, bin.max_y}, radius_);
+template <typename Fn>
+void DynamicSpanner::for_each_ldel1_meeting(const Box& box, Fn&& fn) const {
+    // LDel¹ sides are ICDS edges, at most one radius long, so a triangle
+    // whose box meets `box` has its least corner within one radius of
+    // `box`; the grid cells (side = radius) over that margin hold every
+    // such owner.
+    const auto lo = proximity::cell_of({box.min_x - radius_, box.min_y - radius_}, radius_);
+    const auto hi = proximity::cell_of({box.max_x + radius_, box.max_y + radius_}, radius_);
+    const CellBuckets& cells = grid_.cells();
     for (long long cx = lo.first; cx <= hi.first; ++cx) {
         for (long long cy = lo.second; cy <= hi.second; ++cy) {
-            const auto it = tri_grid_.find({cx, cy});
-            if (it == tri_grid_.end()) continue;
-            for (const TriangleKey r : it->second) {
-                if (r == t) continue;
-                const TriBin& rb = tri_bins_.at(r);
-                if (rb.min_x > bin.max_x || rb.max_x < bin.min_x ||
-                    rb.min_y > bin.max_y || rb.max_y < bin.min_y) {
-                    continue;
+            const auto it = cells.find({cx, cy});
+            if (it == cells.end()) continue;
+            for (const NodeId v : it->second) {
+                for (const TriangleKey r : ldel1_[v]) {
+                    const Box rb = box_of(points_[r.a], points_[r.b], points_[r.c]);
+                    if (rb.min_x > box.max_x || rb.max_x < box.min_x ||
+                        rb.min_y > box.max_y || rb.max_y < box.min_y) {
+                        continue;
+                    }
+                    fn(r);
                 }
-                if (removed_by_partner(t, r)) return false;
             }
         }
     }
-    return true;
 }
 
 void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
+    const GeometricGraph& icds = backbone_.icds;
     // Local triangle lists to recompute: local_triangles_at(icds, v)
     // reads v's ICDS neighbor set, the positions of v and those
     // neighbors, and the ICDS edges among the neighbors (the opposite
@@ -1147,12 +759,12 @@ void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
     for (const NodeId v : ctx.moved) {
         if (!backbone_.in_backbone[v]) continue;
         seeds.push_back(v);
-        const auto nbrs = backbone_.icds.neighbors(v);
+        const auto nbrs = icds.neighbors(v);
         seeds.insert(seeds.end(), nbrs.begin(), nbrs.end());
     }
     const auto mark_common = [&](Pair e) {
-        const auto na = backbone_.icds.neighbors(e.first);
-        const auto nb = backbone_.icds.neighbors(e.second);
+        const auto na = icds.neighbors(e.first);
+        const auto nb = icds.neighbors(e.second);
         std::set_intersection(na.begin(), na.end(), nb.begin(), nb.end(),
                               std::back_inserter(seeds));
     };
@@ -1163,279 +775,235 @@ void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
     const auto& dirty = ctx.ldel_dirty;
     for (const NodeId v : dirty) ctx.touch(v);
 
-    std::vector<std::vector<TriangleKey>> fresh(dirty.size());
-    const auto body = [&](std::size_t i) {
-        fresh[i] = proximity::local_triangles_at(backbone_.icds, dirty[i]);
-    };
-    if (dirty.size() >= kParallelThreshold) {
-        engine_->pool().parallel_for(0, dirty.size(), body);
-    } else {
-        for (std::size_t i = 0; i < dirty.size(); ++i) body(i);
+    // ldel1_triangles' first pass over the dirty nodes. Candidates: every
+    // triangle of an old or fresh list of a dirty node — a triangle with
+    // no dirty corner keeps all three of its votes.
+    const proximity::LocalTriangles fresh =
+        proximity::local_triangles(icds, dirty, pool_for(dirty.size()));
+    std::vector<TriangleKey> candidates = fresh.keys;
+    for (std::size_t k = 0; k < dirty.size(); ++k) {
+        const auto old = local_[dirty[k]];
+        candidates.insert(candidates.end(), old.begin(), old.end());
+        local_.assign(dirty[k], std::span<const TriangleKey>(
+                                    fresh.keys.data() + fresh.offsets[k],
+                                    fresh.offsets[k + 1] - fresh.offsets[k]));
     }
+    sort_unique(candidates);
 
-    // Candidate triangles: anything in an old or new local list of a
-    // dirty node. A triangle none of whose corners is dirty has all
-    // three membership votes unchanged.
-    std::vector<TriangleKey> candidates;
-    for (std::size_t i = 0; i < dirty.size(); ++i) {
-        candidates.insert(candidates.end(), local_tris_[dirty[i]].begin(),
-                          local_tris_[dirty[i]].end());
-        candidates.insert(candidates.end(), fresh[i].begin(), fresh[i].end());
-        local_tris_[dirty[i]] = std::move(fresh[i]);
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-
-    // Membership delta + bbox re-binning. `touched_boxes` collects the
-    // old and new extents of every added/removed/moved triangle; any
-    // retained triangle whose box meets one of them must re-run its
-    // survival test.
-    const auto in_local = [&](NodeId v, TriangleKey t) {
-        const auto& list = local_tris_[v];
-        return std::binary_search(list.begin(), list.end(), t);
+    // LDel¹ membership (all three corners list the triangle) against the
+    // owner slices, collecting the old and new boxes of every triangle
+    // that joined, left or moved.
+    const auto old_point = [&](NodeId v) {
+        if (ctx.moved_flag[v] == 0) return points_[v];
+        return std::ranges::lower_bound(ctx.moved_from, v, {},
+                                        &std::pair<NodeId, geom::Point>::first)
+            ->second;
     };
-    std::vector<TriBin> touched_boxes;
+    const auto new_box = [&](TriangleKey t) {
+        return box_of(points_[t.a], points_[t.b], points_[t.c]);
+    };
+    std::vector<TriangleKey> added;
+    std::vector<TriangleKey> removed;
+    std::vector<Box> touched;
     for (const TriangleKey t : candidates) {
-        const bool now = in_local(t.a, t) && in_local(t.b, t) && in_local(t.c, t);
-        const bool was = ldel1_.contains(t);
-        if (now && !was) {
-            ldel1_.insert(t);
-            tri_insert(t);
-            touched_boxes.push_back(tri_bins_.at(t));
-        } else if (!now && was) {
-            ldel1_.erase(t);
-            touched_boxes.push_back(tri_bins_.at(t));
-            tri_remove(t);
-            if (kept_.erase(t) > 0) {
-                ctx.kept_removed.push_back(t);
-                ldel_edge_dec(norm(t.a, t.b));
-                ldel_edge_dec(norm(t.b, t.c));
-                ldel_edge_dec(norm(t.a, t.c));
-            }
-        } else if (now && was && (ctx.moved_flag[t.a] != 0 || ctx.moved_flag[t.b] != 0 ||
-                                  ctx.moved_flag[t.c] != 0)) {
-            touched_boxes.push_back(tri_bins_.at(t));  // old geometry
-            tri_remove(t);
-            tri_insert(t);
-            touched_boxes.push_back(tri_bins_.at(t));  // new geometry
+        const bool now =
+            local_.contains(t.a, t) && local_.contains(t.b, t) && local_.contains(t.c, t);
+        const bool was = ldel1_.contains(t.a, t);
+        const bool moved = ctx.moved_flag[t.a] != 0 || ctx.moved_flag[t.b] != 0 ||
+                           ctx.moved_flag[t.c] != 0;
+        if (was && (!now || moved)) {
+            touched.push_back(box_of(old_point(t.a), old_point(t.b), old_point(t.c)));
         }
+        if (now && (!was || moved)) touched.push_back(new_box(t));
+        if (now && !was) added.push_back(t);
+        if (was && !now) removed.push_back(t);
+    }
+    // Both deltas are sorted, hence grouped by least corner.
+    std::vector<NodeId> owners;
+    for (const TriangleKey& t : added) owners.push_back(t.a);
+    for (const TriangleKey& t : removed) owners.push_back(t.a);
+    sort_unique(owners);
+    std::vector<TriangleKey> kept_part;
+    std::vector<TriangleKey> slice;
+    auto add_it = added.begin();
+    auto rem_it = removed.begin();
+    for (const NodeId a : owners) {
+        const auto add_end = std::find_if(add_it, added.end(),
+                                          [&](const TriangleKey& t) { return t.a != a; });
+        const auto rem_end = std::find_if(rem_it, removed.end(),
+                                          [&](const TriangleKey& t) { return t.a != a; });
+        const auto current = ldel1_[a];
+        kept_part.clear();
+        std::set_difference(current.begin(), current.end(), rem_it, rem_end,
+                            std::back_inserter(kept_part));
+        slice.clear();
+        std::merge(kept_part.begin(), kept_part.end(), add_it, add_end,
+                   std::back_inserter(slice));
+        ldel1_.assign(a, slice);
+        add_it = add_end;
+        rem_it = rem_end;
     }
 
-    // Survival recompute set: a retained triangle's verdict can only
-    // change when its partner set or a partner's geometry did, and
-    // partner coupling requires bbox intersection — so only residents
-    // whose box meets a touched box (old or new geometry of an
-    // added/removed/moved triangle) re-run the test. Candidate cells:
-    // everything a touched box can reach (partners' min corners lie
-    // within one cell below the box).
+    // Algorithm 3's verdict on a pair changes only when one of its
+    // triangles changed, and only triangles whose boxes meet can
+    // intersect: re-decide every LDel¹ triangle whose box meets an old
+    // or new box of a changed triangle (the added and moved ones among
+    // them).
     std::vector<TriangleKey> retest;
-    for (const TriBin& box : touched_boxes) {
-        const auto lo =
-            proximity::cell_of({box.min_x - radius_, box.min_y - radius_}, radius_);
-        const auto hi = proximity::cell_of({box.max_x, box.max_y}, radius_);
-        for (long long cx = lo.first; cx <= hi.first; ++cx) {
-            for (long long cy = lo.second; cy <= hi.second; ++cy) {
-                const auto it = tri_grid_.find({cx, cy});
-                if (it == tri_grid_.end()) continue;
-                for (const TriangleKey r : it->second) {
-                    const TriBin& rb = tri_bins_.at(r);
-                    if (rb.min_x > box.max_x || rb.max_x < box.min_x ||
-                        rb.min_y > box.max_y || rb.max_y < box.min_y) {
-                        continue;
-                    }
-                    retest.push_back(r);
-                }
-            }
-        }
+    for (const Box& box : touched) {
+        for_each_ldel1_meeting(box, [&](TriangleKey r) { retest.push_back(r); });
     }
-    std::sort(retest.begin(), retest.end());
-    retest.erase(std::unique(retest.begin(), retest.end()), retest.end());
+    sort_unique(retest);
     stats.triangles_retested += retest.size();
 
-    std::vector<char> survives(retest.size(), 0);
-    const auto survive_body = [&](std::size_t i) {
-        survives[i] = survives_alg3(retest[i]) ? 1 : 0;
+    // Each intersecting pair with a retested member is tested once, by
+    // proximity::alg3_pair: by the smaller key when both are retested,
+    // else by the retested one. Marks only go from 0 to 1.
+    std::vector<char> loses(retest.size(), 0);
+    const auto mark = [&](std::size_t k) {
+        std::atomic_ref<char>(loses[k]).store(1, std::memory_order_relaxed);
     };
-    if (retest.size() >= kParallelThreshold) {
-        engine_->pool().parallel_for(0, retest.size(), survive_body);
-    } else {
-        for (std::size_t i = 0; i < retest.size(); ++i) survive_body(i);
-    }
-    for (std::size_t i = 0; i < retest.size(); ++i) {
+    engine::parallel_for(pool_for(retest.size()), 0, retest.size(), [&](std::size_t i) {
         const TriangleKey t = retest[i];
-        const bool keep = survives[i] != 0;
-        const bool was = kept_.contains(t);
-        if (keep && !was) {
-            kept_.insert(t);
-            ctx.kept_added.push_back(t);
-            ldel_edge_inc(norm(t.a, t.b));
-            ldel_edge_inc(norm(t.b, t.c));
-            ldel_edge_inc(norm(t.a, t.c));
-        } else if (!keep && was) {
-            kept_.erase(t);
-            ctx.kept_removed.push_back(t);
-            ldel_edge_dec(norm(t.a, t.b));
-            ldel_edge_dec(norm(t.b, t.c));
-            ldel_edge_dec(norm(t.a, t.c));
-        }
-    }
-}
-
-// ---- Stage 4b: Gabriel(ICDS) edges -----------------------------------
-
-void DynamicSpanner::stage_gabriel(PatchContext& ctx) {
-    // An edge's Gabriel status depends on its endpoints' positions and
-    // common-ICDS-neighbor set — dirty exactly when an endpoint is in
-    // the LDel dirty set: a moved or gained/lost witness marks both
-    // endpoints (they are its current neighbors / adjacency-changed),
-    // and moved or adjacency-changed endpoints mark themselves.
-    for (const Pair& e : ctx.icds_removed) {
-        if (gabriel_.erase(e) > 0) ldel_edge_dec(e);
-    }
-
-    std::vector<char> in_dirty(points_.size(), 0);
-    for (const NodeId v : ctx.ldel_dirty) in_dirty[v] = 1;
-    std::vector<Pair> dirty_edges;
-    for (const NodeId u : ctx.ldel_dirty) {
-        for (const NodeId v : backbone_.icds.neighbors(u)) {
-            if (u < v || in_dirty[v] == 0) dirty_edges.push_back(norm(u, v));
-        }
-    }
-    sort_unique_pairs(dirty_edges);
-
-    std::vector<char> in_gabriel(dirty_edges.size(), 0);
-    const auto body = [&](std::size_t i) {
-        const auto [u, v] = dirty_edges[i];
-        const auto nu = backbone_.icds.neighbors(u);
-        const auto nv = backbone_.icds.neighbors(v);
-        bool blocked = false;
-        std::size_t a = 0;
-        std::size_t b = 0;
-        while (a < nu.size() && b < nv.size() && !blocked) {
-            if (nu[a] < nv[b]) {
-                ++a;
-            } else if (nu[a] > nv[b]) {
-                ++b;
-            } else {
-                // Closed-disk witness rule, matching build_gabriel.
-                if (geom::in_diametral_circle(points_[u], points_[v],
-                                              points_[nu[a]]) >= 0) {
-                    blocked = true;
+        for_each_ldel1_meeting(new_box(t), [&](TriangleKey r) {
+            const auto it = std::lower_bound(retest.begin(), retest.end(), r);
+            const bool retested = it != retest.end() && *it == r;
+            if (r == t || (retested && r < t)) return;
+            if (t < r) {
+                const proximity::Alg3Verdict v = proximity::alg3_pair(icds, t, r);
+                if (v.remove_smaller) mark(i);
+                if (v.remove_larger && retested) {
+                    mark(static_cast<std::size_t>(it - retest.begin()));
                 }
-                ++a;
-                ++b;
+            } else if (proximity::alg3_pair(icds, r, t).remove_larger) {
+                mark(i);
             }
-        }
-        in_gabriel[i] = blocked ? 0 : 1;
+        });
+    });
+
+    // Survivor deltas, merged into the sorted triangle list.
+    auto& kept = backbone_.ldel_triangles;
+    const auto is_kept = [&](TriangleKey t) {
+        return std::binary_search(kept.begin(), kept.end(), t);
     };
-    if (dirty_edges.size() >= kParallelThreshold) {
-        engine_->pool().parallel_for(0, dirty_edges.size(), body);
-    } else {
-        for (std::size_t i = 0; i < dirty_edges.size(); ++i) body(i);
-    }
-
-    for (std::size_t i = 0; i < dirty_edges.size(); ++i) {
-        const Pair e = dirty_edges[i];
-        const bool now = in_gabriel[i] != 0;
-        const bool was = gabriel_.contains(e);
-        if (now && !was) {
-            gabriel_.insert(e);
-            ldel_edge_inc(e);
-        } else if (!now && was) {
-            gabriel_.erase(e);
-            ldel_edge_dec(e);
+    for (std::size_t i = 0; i < retest.size(); ++i) {
+        const bool keep = loses[i] == 0;
+        if (keep != is_kept(retest[i])) {
+            (keep ? ctx.kept_added : ctx.kept_removed).push_back(retest[i]);
         }
     }
-}
-
-// ---- Stage 5: assembly (primed graphs, triangle list) ----------------
-
-void DynamicSpanner::stage_assemble(PatchContext& ctx) {
-    // Dominatee-link deltas feed all three primed unions. A node's link
-    // set equals its dominators_of list, so only dom_list_changed nodes
-    // (old lists captured during the cascade) contribute deltas.
-    for (const NodeId v : ctx.dom_list_changed) {
-        const auto& old_list = ctx.old_dominators.at(v);
-        const auto& new_list = backbone_.cluster.dominators_of[v];
-        for (const NodeId d : old_list) {
-            if (!std::binary_search(new_list.begin(), new_list.end(), d)) {
-                link_dec(norm(v, d));
-            }
-        }
-        for (const NodeId d : new_list) {
-            if (!std::binary_search(old_list.begin(), old_list.end(), d)) {
-                link_inc(norm(v, d));
-            }
-        }
+    for (const TriangleKey t : removed) {
+        if (is_kept(t)) ctx.kept_removed.push_back(t);
     }
-    // Triangle-list merge from the survivor deltas: both delta lists
-    // come out of sorted scans, and a key can only transition once per
-    // patch, so two linear passes replace the O(|kept|) set walk.
+    std::sort(ctx.kept_removed.begin(), ctx.kept_removed.end());
     if (!ctx.kept_added.empty() || !ctx.kept_removed.empty()) {
-        std::sort(ctx.kept_added.begin(), ctx.kept_added.end());
-        std::sort(ctx.kept_removed.begin(), ctx.kept_removed.end());
         std::vector<TriangleKey> surviving;
-        surviving.reserve(backbone_.ldel_triangles.size());
-        std::set_difference(backbone_.ldel_triangles.begin(),
-                            backbone_.ldel_triangles.end(), ctx.kept_removed.begin(),
+        surviving.reserve(kept.size());
+        std::set_difference(kept.begin(), kept.end(), ctx.kept_removed.begin(),
                             ctx.kept_removed.end(), std::back_inserter(surviving));
         std::vector<TriangleKey> merged;
         merged.reserve(surviving.size() + ctx.kept_added.size());
         std::merge(surviving.begin(), surviving.end(), ctx.kept_added.begin(),
                    ctx.kept_added.end(), std::back_inserter(merged));
-        backbone_.ldel_triangles = std::move(merged);
+        kept = std::move(merged);
     }
 }
 
-// ---- Edge-union plumbing ---------------------------------------------
+// ---- Stage 4b: LDel(ICDS) edges ----------------------------------------
 
-void DynamicSpanner::cds_edge_inc(Pair e) {
-    if (cds_refs_.inc(e)) {
-        backbone_.cds.add_edge(e.first, e.second);
-        if (cds_prime_refs_.inc(e)) backbone_.cds_prime.add_edge(e.first, e.second);
+void DynamicSpanner::stage_ldel_edges(PatchContext& ctx) {
+    const GeometricGraph& icds = backbone_.icds;
+    GeometricGraph& ldel = backbone_.ldel_icds;
+    for (const Pair& e : ctx.icds_removed) {
+        if (ldel.remove_edge(e.first, e.second)) ctx.ldel_changed.push_back(e);
     }
-}
-
-void DynamicSpanner::cds_edge_dec(Pair e) {
-    if (cds_refs_.dec(e)) {
-        backbone_.cds.remove_edge(e.first, e.second);
-        if (cds_prime_refs_.dec(e)) backbone_.cds_prime.remove_edge(e.first, e.second);
+    // proximity::ldel_graph's rule per edge: an ICDS edge is in
+    // LDel(ICDS) iff it is a kept-triangle side or passes the Gabriel
+    // test. Its inputs change only at an LDel-dirty endpoint (positions
+    // and common neighbors decide the Gabriel test) or for the sides of
+    // a triangle that joined or left the kept set.
+    std::vector<Pair> edges;
+    for (const NodeId u : ctx.ldel_dirty) {
+        for (const NodeId v : icds.neighbors(u)) edges.push_back(norm(u, v));
     }
-}
-
-void DynamicSpanner::ldel_edge_inc(Pair e) {
-    if (ldel_icds_refs_.inc(e)) {
-        backbone_.ldel_icds.add_edge(e.first, e.second);
-        if (ldel_icds_prime_refs_.inc(e)) {
-            backbone_.ldel_icds_prime.add_edge(e.first, e.second);
+    for (const auto* delta : {&ctx.kept_added, &ctx.kept_removed}) {
+        for (const TriangleKey& t : *delta) {
+            for (const Pair& e : {Pair{t.a, t.b}, Pair{t.a, t.c}, Pair{t.b, t.c}}) {
+                if (icds.has_edge(e.first, e.second)) edges.push_back(e);
+            }
         }
     }
+    sort_unique(edges);
+    std::vector<char> member(edges.size(), 0);
+    engine::parallel_for(pool_for(edges.size()), 0, edges.size(), [&](std::size_t i) {
+        const auto [u, v] = edges[i];
+        member[i] = kept_side(edges[i]) || proximity::is_gabriel_edge(icds, u, v) ? 1 : 0;
+    });
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        if (set_edge(ldel, edges[i], member[i] != 0)) ctx.ldel_changed.push_back(edges[i]);
+    }
+    sort_unique(ctx.ldel_changed);
 }
 
-void DynamicSpanner::ldel_edge_dec(Pair e) {
-    if (ldel_icds_refs_.dec(e)) {
-        backbone_.ldel_icds.remove_edge(e.first, e.second);
-        if (ldel_icds_prime_refs_.dec(e)) {
-            backbone_.ldel_icds_prime.remove_edge(e.first, e.second);
+bool DynamicSpanner::kept_side(Pair e) const {
+    // The third corner of a triangle on side e is a common ICDS neighbor.
+    const auto& kept = backbone_.ldel_triangles;
+    const auto na = backbone_.icds.neighbors(e.first);
+    const auto nb = backbone_.icds.neighbors(e.second);
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < na.size() && j < nb.size()) {
+        if (na[i] < nb[j]) {
+            ++i;
+        } else if (nb[j] < na[i]) {
+            ++j;
+        } else {
+            const TriangleKey t = proximity::make_triangle_key(e.first, e.second, na[i]);
+            if (std::binary_search(kept.begin(), kept.end(), t)) return true;
+            ++i;
+            ++j;
         }
     }
+    return false;
 }
 
-void DynamicSpanner::link_inc(Pair e) {
-    if (cds_prime_refs_.inc(e)) backbone_.cds_prime.add_edge(e.first, e.second);
-    if (icds_prime_refs_.inc(e)) backbone_.icds_prime.add_edge(e.first, e.second);
-    if (ldel_icds_prime_refs_.inc(e)) {
-        backbone_.ldel_icds_prime.add_edge(e.first, e.second);
+// ---- Stage 5: primed graphs ------------------------------------------
+
+void DynamicSpanner::stage_assemble(PatchContext& ctx) {
+    // A node's dominatee links are its dominators_of list, so only the
+    // dom_list_changed nodes (old lists captured during the cascade)
+    // change links.
+    std::vector<Pair> links;
+    for (const NodeId v : ctx.dom_list_changed) {
+        const auto& old_list = ctx.old_dominators.at(v);
+        const auto new_list = backbone_.cluster.dominators_of[v];
+        std::vector<NodeId> diff;
+        std::ranges::set_symmetric_difference(old_list, new_list, std::back_inserter(diff));
+        for (const NodeId d : diff) links.push_back(norm(v, d));
     }
+    // core::assemble_graphs' rule per edge: a primed graph holds its base
+    // graph's edges and every dominatee link.
+    const auto settle = [&](GeometricGraph& primed, const GeometricGraph& base,
+                            std::initializer_list<const std::vector<Pair>*> changed) {
+        for (const auto* list : changed) {
+            for (const Pair& e : *list) {
+                set_edge(primed, e, base.has_edge(e.first, e.second) || is_dominatee_link(e));
+            }
+        }
+    };
+    settle(backbone_.cds_prime, backbone_.cds, {&ctx.cds_changed, &links});
+    settle(backbone_.icds_prime, backbone_.icds,
+           {&ctx.icds_added, &ctx.icds_removed, &links});
+    settle(backbone_.ldel_icds_prime, backbone_.ldel_icds, {&ctx.ldel_changed, &links});
 }
 
-void DynamicSpanner::link_dec(Pair e) {
-    if (cds_prime_refs_.dec(e)) backbone_.cds_prime.remove_edge(e.first, e.second);
-    if (icds_prime_refs_.dec(e)) backbone_.icds_prime.remove_edge(e.first, e.second);
-    if (ldel_icds_prime_refs_.dec(e)) {
-        backbone_.ldel_icds_prime.remove_edge(e.first, e.second);
-    }
+bool DynamicSpanner::is_dominatee_link(Pair e) const {
+    const auto& doms = backbone_.cluster.dominators_of;
+    return doms.contains(e.first, e.second) || doms.contains(e.second, e.first);
+}
+
+engine::ThreadPool* DynamicSpanner::pool_for(std::size_t items) const {
+    return items >= kParallelThreshold ? &engine_->pool() : nullptr;
 }
 
 // ---- k-hop expansion over old ∪ new adjacency ------------------------

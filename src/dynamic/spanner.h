@@ -19,17 +19,26 @@
 // across trace replays and runs the verify:: auditors on patched
 // outputs.
 //
+// Patch state: the per-owner outputs of the engine's stage kernels,
+// kept in flat per-owner slabs (dynamic/owner_slices.h) — each
+// dominator's elected CDS links (protocol::elect_connectors), each
+// node's local Delaunay triangles over ICDS and each node's LDel¹
+// triangles keyed by their least corner (proximity::ldel1_triangles).
+// A patch re-runs a kernel's owner body over the dirty owners only and
+// diffs the fresh slices against the kept ones; every edge it touches is
+// then re-decided by the rule that defines it (a CDS link is in the CDS
+// iff some dominator's slice holds it; an ICDS edge is in LDel(ICDS) iff
+// it is a kept-triangle side or passes proximity::is_gabriel_edge; a
+// primed graph holds its base graph plus the dominatee links).
+//
 // Concurrency: a batch's dirty set is decomposed into connected dirty
 // components (multi-source label BFS over old ∪ new adjacency with a
 // hop merge margin, unioned when frontiers meet). Components whose seed
-// sets stay >= component_merge_hops + 1 hops apart have disjoint
-// per-stage read and write sets — every stage's dirty expansion reaches
-// at most 7 hops past the seeds — so their connector elections are
-// *planned* concurrently on the engine ThreadPool against the frozen
-// pre-commit state and committed serially in deterministic component
-// order. The LDel/Alg3 and Gabriel kernels stay global (crossing
-// triangles couple hop-distant regions spatially, which is exactly what
-// Algorithm 3 resolves) and parallelize over items as before.
+// sets stay >= component_merge_hops + 1 hops apart are gated
+// separately. The owner bodies of every stage run on the engine
+// ThreadPool against the frozen pre-commit state, and their slices are
+// committed serially in owner order, so output is bit-identical at any
+// thread count.
 //
 // Fallback policy: the rebuild decision is per component. Only a batch
 // with a *single* component whose 2-hop dirty region exceeds
@@ -38,14 +47,16 @@
 // swap-remove id compaction perturbs the id-keyed elections globally)
 // falls back to a full rebuild from the current positions. Many small
 // far-apart updates therefore stay on the localized path even when
-// their merged dirty set spans the graph. The full rebuild runs the
-// same stage kernels with everything dirty, so both paths share one
-// code path and one correctness argument.
+// their merged dirty set spans the graph. The full rebuild is the
+// engine's own build (engine::build_udg_staged + build_backbone_staged
+// on the engine pool, under the configured planarizer) followed by
+// seeding the patch state from that build's per-owner intermediates;
+// the incremental path re-runs the same kernels' owner bodies, so each
+// paper rule has one implementation. Under Planarizer::kLdel2 every
+// batch takes the full rebuild, which yields LDel²(ICDS).
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -53,6 +64,7 @@
 #include "core/backbone.h"
 #include "core/report.h"
 #include "dynamic/dynamic_cell_grid.h"
+#include "dynamic/owner_slices.h"
 #include "engine/engine.h"
 #include "graph/geometric_graph.h"
 #include "proximity/ldel.h"
@@ -94,7 +106,7 @@ struct PatchStats {
     std::size_t dirty_nodes = 0;       ///< union of all per-stage dirty sets
     std::size_t udg_edge_changes = 0;  ///< UDG edges added + removed
     std::size_t roles_changed = 0;     ///< cluster roles flipped by the cascade
-    std::size_t pairs_recomputed = 0;  ///< connector pair elections rerun
+    std::size_t owners_reelected = 0;  ///< dominators whose connector elections reran
     std::size_t triangles_retested = 0;  ///< Algorithm-3 survivals re-evaluated
     /// The connected dirty components the batch decomposed into, in
     /// deterministic (smallest-seed) order. Empty when the batch fell
@@ -110,14 +122,17 @@ struct PatchStats {
 };
 
 /// A maintained (UDG, Backbone) pair under point updates. The engine
-/// reference supplies the ThreadPool for the bulk kernels and the
-/// options (cluster policy, incremental gate, fallback fraction).
+/// reference supplies the ThreadPool for the kernels and the options
+/// (cluster policy, planarizer, incremental gate, fallback fraction).
 /// Incremental patching supports the paper's default kLdel1 planarizer;
 /// kLdel2 configurations take the full-rebuild path on every batch.
 class DynamicSpanner {
   public:
+    /// Builds the backbone through the engine and seeds the patch state;
+    /// `stats`, when given, receives the engine's stage rows plus a
+    /// "seed" row for the patch state.
     DynamicSpanner(engine::SpannerEngine& engine, std::vector<geom::Point> points,
-                   double radius);
+                   double radius, core::PipelineStats* stats = nullptr);
 
     /// Applies one update batch and repairs the backbone. Returns the
     /// patch report; stats.pipeline carries one StageStats per patch
@@ -138,55 +153,12 @@ class DynamicSpanner {
     using Pair = std::pair<NodeId, NodeId>;
     using TriangleKey = proximity::TriangleKey;
 
-    struct PairHash {
-        std::size_t operator()(Pair p) const noexcept;
-    };
-    struct TriHash {
-        std::size_t operator()(TriangleKey t) const noexcept;
-    };
-
-    /// Refcounted edge union driving one retained GeometricGraph: each
-    /// logical contribution (a connector pair's elected link, a Gabriel
-    /// edge, a kept triangle side, a dominatee link, a base-graph edge
-    /// of a primed variant) holds one reference; the edge exists in the
-    /// graph iff its count is positive. Contributions overlap — e.g. a
-    /// connector's elected link can coincide with its dominatee link —
-    /// so plain add/remove would corrupt the union.
-    struct EdgeRefs {
-        std::unordered_map<Pair, int, PairHash> counts;
-
-        bool inc(Pair e);  ///< true on the 0 → 1 transition
-        bool dec(Pair e);  ///< true on the 1 → 0 transition
-        void clear() { counts.clear(); }
-    };
-
-    /// Per-pair connector election outcome retained in the ledger:
-    /// the connectors it elected and the CDS edges it contributed
-    /// (deduplicated within the pair; refcounted across pairs).
-    struct PairOutcome {
-        std::vector<NodeId> connectors;
-        std::vector<Pair> edges;
-    };
-
-    /// One connector-election ledger (phase A uses unordered pairs,
-    /// phases B+C ordered pairs) plus its node→pairs reverse index for
-    /// O(dirty) deletion.
-    struct PairLedger {
-        std::map<Pair, PairOutcome> entries;
-        std::unordered_map<NodeId, std::set<Pair>> by_node;
-
-        void clear() {
-            entries.clear();
-            by_node.clear();
-        }
-    };
-
-    /// Scratch + dirty sets of one apply() — rebuilt per batch, with
-    /// "everything dirty" on the full-rebuild path so both paths run
-    /// the same stage kernels.
+    /// Scratch + dirty sets of one incremental apply().
     struct PatchContext {
         std::vector<NodeId> moved;        ///< sorted; nodes whose position changed
         std::vector<char> moved_flag;     ///< n-sized
+        /// (node, position before the batch) of every moved node, sorted.
+        std::vector<std::pair<NodeId, geom::Point>> moved_from;
         std::vector<NodeId> joined;       ///< sorted new ids
         std::vector<NodeId> adj_changed;  ///< sorted; endpoints of UDG edge deltas
         std::vector<char> adj_changed_flag;
@@ -203,25 +175,20 @@ class DynamicSpanner {
         std::unordered_map<NodeId, std::vector<NodeId>> old_dominators;
         std::vector<NodeId> two_hop_changed;
 
+        std::size_t owners_reelected = 0;
+        std::vector<Pair> cds_changed;          ///< CDS edges added or removed
         std::vector<NodeId> connector_changed;  ///< is_connector flips
-        std::size_t pairs_deleted = 0;
-        std::size_t pairs_reelected = 0;
-        [[nodiscard]] std::size_t pairs_recomputed() const {
-            return pairs_deleted + pairs_reelected;
-        }
 
         std::vector<NodeId> backbone_changed;  ///< in_backbone flips
         std::vector<Pair> icds_added;
         std::vector<Pair> icds_removed;
         std::vector<char> icds_adj_changed_flag;
         std::vector<NodeId> icds_adj_changed;
-        std::unordered_map<NodeId, std::vector<NodeId>> icds_removed_adj;
 
         std::vector<NodeId> ldel_dirty;  ///< sorted; local triangle lists recomputed
-        /// Alg3-survivor deltas, for the assembly stage's triangle-list
-        /// merge (avoids walking the whole kept set every patch).
-        std::vector<TriangleKey> kept_added;
-        std::vector<TriangleKey> kept_removed;
+        std::vector<TriangleKey> kept_added;    ///< Algorithm 3 survivors gained
+        std::vector<TriangleKey> kept_removed;  ///< Algorithm 3 survivors lost
+        std::vector<Pair> ldel_changed;         ///< LDel(ICDS) edges added or removed
         std::vector<char> dirty_union;  ///< union of all per-stage dirty nodes
         std::size_t dirty_count = 0;
 
@@ -230,34 +197,21 @@ class DynamicSpanner {
     };
 
     /// One connected dirty component: its slice of the connector-stage
-    /// seed set c2 (sorted) and its 2-hop dirty region.
+    /// seed set (sorted) and its 2-hop dirty region.
     struct DirtyComponent {
         std::vector<NodeId> seeds;
         std::vector<NodeId> region;
         bool over_cap = false;
     };
 
-    /// The deferred effects of one component's connector re-election,
-    /// computed read-only against the frozen pre-commit state. Plans of
-    /// disjoint components touch disjoint ledger keys, refcounts, and
-    /// edges, so committing them serially in component order is
-    /// equivalent to any sequential per-component execution.
-    /// Re-elections whose outcome matches the retained ledger entry are
-    /// dropped at plan time (the delete + recommit would be a refcount
-    /// no-op), so deletions/commits carry only actual changes.
-    struct ConnectorPlan {
-        std::vector<NodeId> touched;  ///< s2 — nodes to mark dirty
-        /// Ledger entries to drop: (0 = pairs_a_, 1 = pairs_b_, key).
-        std::vector<std::pair<int, Pair>> deletions;
-        std::vector<std::pair<Pair, PairOutcome>> commits_a;
-        std::vector<std::pair<Pair, PairOutcome>> commits_b;
-        std::size_t pairs_reelected = 0;  ///< candidate pairs considered
-        std::size_t pairs_retained = 0;   ///< unchanged outcomes skipped
+    /// Axis-aligned bounding box of a triangle.
+    struct Box {
+        double min_x, max_x, min_y, max_y;
     };
 
-    // Stage kernels. Each reads the dirty inputs from `ctx`, patches the
-    // retained state, and records what it invalidated for the next
-    // stage. rebuild_from_scratch() runs them with everything dirty.
+    // Stage kernels of the incremental path. Each reads the dirty inputs
+    // from `ctx`, patches the retained state, and records what it
+    // invalidated for the next stage.
     void stage_udg(const UpdateBatch& batch, PatchContext& ctx);
     /// Role cascade + derived-list recompute; false → more than `cap`
     /// roles flipped, caller falls back to a full rebuild.
@@ -275,62 +229,38 @@ class DynamicSpanner {
     [[nodiscard]] std::vector<DirtyComponent> decompose_components(
         const PatchContext& ctx, const std::vector<NodeId>& c2,
         std::size_t merge_hops) const;
-    /// Read-only election planning for one component's seed slice.
-    void plan_connectors(const PatchContext& ctx, const std::vector<NodeId>& c2,
-                         ConnectorPlan& plan) const;
-    /// Applies one plan's deletions and commits (serial, deterministic).
-    void commit_connector_plan(ConnectorPlan& plan, PatchContext& ctx,
-                               std::vector<NodeId>& conn_touched);
-    /// Settles is_connector flags from the final refcounts.
-    void settle_connector_flags(std::vector<NodeId>& conn_touched, PatchContext& ctx);
-    /// Monolithic path (full rebuild / single component): plan + commit
-    /// over the whole c2.
-    void stage_connectors(PatchContext& ctx);
-    /// Decomposed path: plans all components concurrently on the engine
-    /// pool, then commits them serially in component order.
-    void stage_connectors_componentwise(PatchContext& ctx,
-                                        const std::vector<DirtyComponent>& comps);
+    /// Re-elects the dominators within 2 hops of `seeds` and re-decides
+    /// the CDS links and connector flags their slices touched.
+    void stage_connectors(PatchContext& ctx, const std::vector<NodeId>& seeds);
     void stage_icds(PatchContext& ctx);
+    /// Local triangles, the LDel¹ set and Algorithm 3 survival.
     void stage_ldel(PatchContext& ctx, PatchStats& stats);
-    void stage_gabriel(PatchContext& ctx);
+    /// LDel(ICDS) membership of every edge whose inputs changed.
+    void stage_ldel_edges(PatchContext& ctx);
+    /// The primed graphs: base graph ∪ dominatee links.
     void stage_assemble(PatchContext& ctx);
 
     void append_node(geom::Point p);
-    void rebuild_from_scratch(PatchStats& stats);
+    void rebuild_from_scratch(core::PipelineStats* stats);
     void apply_positions_only(const UpdateBatch& batch);
 
-    // Connector-election helpers. `conn_touched` accumulates nodes whose
-    // election refcount hit or left zero, for the flag settle pass.
-    /// False when the key was already gone (idempotent).
-    bool delete_pair(PairLedger& ledger, Pair key, std::vector<NodeId>& conn_touched);
-    void commit_pair(PairLedger& ledger, Pair key, PairOutcome outcome,
-                     std::vector<NodeId>& conn_touched);
-    [[nodiscard]] bool wins(NodeId w, const std::vector<NodeId>& candidates) const;
-
-    // Triangle bookkeeping.
-    struct TriBin {
-        double min_x, max_x, min_y, max_y;
-        proximity::CellCoord cell;
-    };
-    [[nodiscard]] TriBin bin_of(TriangleKey t) const;
-    void tri_insert(TriangleKey t);
-    void tri_remove(TriangleKey t);
-    [[nodiscard]] bool removed_by_partner(TriangleKey t, TriangleKey r) const;
-    [[nodiscard]] bool survives_alg3(TriangleKey t) const;
+    /// The pool when `items` is worth splitting over lanes, else null
+    /// (small patches run inline; results are identical either way).
+    [[nodiscard]] engine::ThreadPool* pool_for(std::size_t items) const;
+    /// True when some dominator's election slice holds CDS link `e`.
+    [[nodiscard]] bool cds_link_elected(Pair e) const;
+    /// True when ICDS edge `e` is a side of a kept triangle.
+    [[nodiscard]] bool kept_side(Pair e) const;
+    [[nodiscard]] bool is_dominatee_link(Pair e) const;
+    [[nodiscard]] static Box box_of(geom::Point a, geom::Point b, geom::Point c);
+    /// Calls fn(r) for every LDel¹ triangle r whose box meets `box`.
+    template <typename Fn>
+    void for_each_ldel1_meeting(const Box& box, Fn&& fn) const;
 
     [[nodiscard]] std::vector<NodeId> expand_hops(
         const graph::GeometricGraph& g,
         const std::unordered_map<NodeId, std::vector<NodeId>>& removed_adj,
         const std::vector<NodeId>& seeds, int hops) const;
-
-    void cds_edge_inc(Pair e);
-    void cds_edge_dec(Pair e);
-    void ldel_edge_inc(Pair e);
-    void ldel_edge_dec(Pair e);
-    void link_inc(Pair e);  ///< dominatee link into all three primed unions
-    void link_dec(Pair e);
-    void icds_edge_added(NodeId u, NodeId v, PatchContext& ctx);
-    void icds_edge_removed(NodeId u, NodeId v, PatchContext& ctx);
 
     engine::SpannerEngine* engine_;
     double radius_ = 1.0;
@@ -339,28 +269,10 @@ class DynamicSpanner {
     graph::GeometricGraph udg_;
     core::Backbone backbone_;
 
-    // Connector state: per-pair outcomes + aggregate refcounts.
-    PairLedger pairs_a_;  ///< phase A, unordered (min, max) dominator pairs
-    PairLedger pairs_b_;  ///< phases B+C, ordered (u, v) dominator pairs
-    std::vector<int> connector_refs_;  ///< pairs electing each node
-    EdgeRefs cds_refs_;
-
-    // LDel state: per-node local triangle lists, the LDel¹ set, its
-    // bbox-bucket index (cell side = radius), and the Alg3 survivors.
-    std::vector<std::vector<TriangleKey>> local_tris_;
-    std::set<TriangleKey> ldel1_;
-    std::set<TriangleKey> kept_;
-    std::unordered_map<TriangleKey, TriBin, TriHash> tri_bins_;
-    std::unordered_map<proximity::CellCoord, std::vector<TriangleKey>,
-                       proximity::CellHash>
-        tri_grid_;
-
-    // Gabriel(ICDS) edges + the union refcounts of the assembled graphs.
-    std::set<Pair> gabriel_;
-    EdgeRefs ldel_icds_refs_;   ///< gabriel + kept-triangle sides
-    EdgeRefs cds_prime_refs_;   ///< cds edges + dominatee links
-    EdgeRefs icds_prime_refs_;  ///< icds edges + dominatee links
-    EdgeRefs ldel_icds_prime_refs_;  ///< ldel_icds edges + dominatee links
+    // Patch state, seeded from the build's per-owner intermediates.
+    OwnerSlices<Pair> elected_;        ///< per dominator: its elected CDS links
+    OwnerSlices<TriangleKey> local_;   ///< per node: local Delaunay triangles over ICDS
+    OwnerSlices<TriangleKey> ldel1_;   ///< per node: LDel¹ triangles it is the least corner of
 };
 
 }  // namespace geospanner::dynamic

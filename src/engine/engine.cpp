@@ -54,7 +54,7 @@ GeometricGraph build_udg_staged(ThreadPool& pool, std::vector<geom::Point> point
 core::Backbone build_backbone_staged(ThreadPool& pool, const GeometricGraph& udg,
                                      const EngineOptions& options,
                                      core::PipelineStats* stats,
-                                     verify::AuditTrail* trail) {
+                                     verify::AuditTrail* trail, BuildIntermediates* keep) {
     const auto start = StageClock::now();
     protocol::ClusterState cluster =
         protocol::cluster_reference(udg, options.cluster_policy, &pool);
@@ -64,14 +64,15 @@ core::Backbone build_backbone_staged(ThreadPool& pool, const GeometricGraph& udg
             verify::audit_clustering(udg, cluster, options.audit_options));
     }
     return build_backbone_from_cluster(pool, udg, std::move(cluster), options, stats,
-                                       trail);
+                                       trail, keep);
 }
 
 core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGraph& udg,
                                            protocol::ClusterState cluster,
                                            const EngineOptions& options,
                                            core::PipelineStats* stats,
-                                           verify::AuditTrail* trail) {
+                                           verify::AuditTrail* trail,
+                                           BuildIntermediates* keep) {
     const auto n = static_cast<NodeId>(udg.node_count());
     const std::size_t lanes = pool.available_lanes();
     const bool audit = options.audit && trail != nullptr;
@@ -81,7 +82,8 @@ core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGrap
     auto start = StageClock::now();
     std::size_t candidate_items = 0;
     const protocol::ConnectorState connectors =
-        protocol::elect_connectors(udg, result.cluster, &pool, &candidate_items);
+        protocol::elect_connectors(udg, result.cluster, &pool, &candidate_items,
+                                   keep != nullptr ? &keep->connectors : nullptr);
     push_stage(stats, "connectors", start, candidate_items, lanes);
     if (audit) {
         trail->stages.push_back(verify::audit_connectors(
@@ -103,12 +105,14 @@ core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGrap
 
     if (options.planarizer == core::Planarizer::kLdel1) {
         start = StageClock::now();
-        std::vector<TriangleKey> triangles = proximity::ldel1_triangles(result.icds, &pool);
+        std::vector<TriangleKey> triangles = proximity::ldel1_triangles(
+            result.icds, &pool, keep != nullptr ? &keep->local : nullptr);
         push_stage(stats, "ldel", start, result.backbone_size(), lanes);
 
         start = StageClock::now();
         result.ldel_triangles = proximity::planarize_triangles(result.icds, triangles, &pool);
         push_stage(stats, "planarize", start, triangles.size(), lanes);
+        if (keep != nullptr) keep->ldel1 = std::move(triangles);
     } else {
         start = StageClock::now();
         result.ldel_triangles = proximity::ldel_k_triangles(result.icds, 2);

@@ -90,6 +90,15 @@ struct BuildResult {
     verify::AuditTrail audit;  ///< empty unless EngineOptions::audit
 };
 
+/// Per-owner intermediates a staged build computes anyway, handed out to
+/// callers that keep patching the result (dynamic::DynamicSpanner seeds
+/// its patch state from them).
+struct BuildIntermediates {
+    protocol::ConnectorSlices connectors;       ///< every node's elected CDS links
+    proximity::LocalTriangles local;            ///< ICDS local triangles (kLdel1 only)
+    std::vector<proximity::TriangleKey> ldel1;  ///< LDel¹ set, sorted (kLdel1 only)
+};
+
 /// UDG stage on `pool`'s lanes: the per-node grid-cell scan runs in
 /// parallel, the edge merge happens in node order. Identical output to
 /// proximity::build_udg. Appends "grid" (spatial-grid / Morton reorder
@@ -105,12 +114,14 @@ struct BuildResult {
 /// Engine::kCentralized (message stats stay empty, as there). Appends
 /// one StageStats entry per stage to `stats` when given. When
 /// `options.audit` and `trail` are both set, runs the post-stage
-/// verify:: audits and appends their StageAudits to `trail`.
+/// verify:: audits and appends their StageAudits to `trail`. `keep`,
+/// when given, receives the stages' per-owner intermediates.
 [[nodiscard]] core::Backbone build_backbone_staged(ThreadPool& pool,
                                                    const graph::GeometricGraph& udg,
                                                    const EngineOptions& options,
                                                    core::PipelineStats* stats = nullptr,
-                                                   verify::AuditTrail* trail = nullptr);
+                                                   verify::AuditTrail* trail = nullptr,
+                                                   BuildIntermediates* keep = nullptr);
 
 /// The pipeline from the connector stage on, over an externally supplied
 /// clustering — the seam the tile-sharded builder (src/shard) plugs
@@ -124,7 +135,8 @@ struct BuildResult {
 [[nodiscard]] core::Backbone build_backbone_from_cluster(
     ThreadPool& pool, const graph::GeometricGraph& udg,
     protocol::ClusterState cluster, const EngineOptions& options,
-    core::PipelineStats* stats = nullptr, verify::AuditTrail* trail = nullptr);
+    core::PipelineStats* stats = nullptr, verify::AuditTrail* trail = nullptr,
+    BuildIntermediates* keep = nullptr);
 
 /// Facade owning the pool: one engine, many builds.
 class SpannerEngine {

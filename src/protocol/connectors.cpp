@@ -253,129 +253,161 @@ void elect(const GeometricGraph& udg, std::size_t count, CandidateAt candidate_a
     }
 }
 
-}  // namespace
-
-ConnectorState elect_connectors(const GeometricGraph& udg, const ClusterState& cluster,
-                                engine::ThreadPool* pool, std::size_t* candidates) {
-    const std::size_t n = udg.node_count();
-    std::vector<char> connector(n, 0);
-    std::atomic<std::size_t> items{0};
-    const auto mark = [&](NodeId w) {
-        std::atomic_ref<char>(connector[w]).store(1, std::memory_order_relaxed);
-    };
+/// Every election dominator u owns: appends u's CDS links (smaller
+/// endpoint first, unsorted, with repeats) to `out` and returns the
+/// candidate entries evaluated. Reads u's 2-hop ball only; a
+/// non-dominator owns nothing.
+std::size_t elect_owned(const GeometricGraph& udg, const ClusterState& cluster, NodeId u,
+                        std::vector<std::pair<NodeId, NodeId>>& out) {
+    if (!cluster.is_dominator(u)) return 0;
+    using Edge = std::pair<NodeId, NodeId>;
     const auto has_dominator = [&](NodeId w, NodeId d) {
         const auto doms = cluster.dominators(w);
         return std::binary_search(doms.begin(), doms.end(), d);
     };
-    using Edge = std::pair<NodeId, NodeId>;
-    const auto add = [](std::vector<Edge>& out, NodeId a, NodeId b) {
+    const auto add = [&](NodeId a, NodeId b) {
         out.push_back({std::min(a, b), std::max(a, b)});
     };
+    thread_local ElectionScratch scratch;
+    auto& entries = scratch.entries;
+    std::size_t evaluated = 0;
+    // Calls decide(v, begin, end) for every group of equal partner v in
+    // the sorted entries.
+    const auto for_each_group = [&](auto&& decide) {
+        for (std::size_t begin = 0; begin < entries.size();) {
+            std::size_t end = begin;
+            while (end < entries.size() && entries[end].first == entries[begin].first) {
+                ++end;
+            }
+            decide(entries[begin].first, begin, end);
+            begin = end;
+        }
+    };
 
-    // Every dominator owns the elections of its pairs (u, ·). The
-    // candidates of such a pair are dominatees w with u in
+    // The candidates of a pair (u, v) are dominatees w with u in
     // dominators(w) — all of them UDG neighbours of u — so the owner
-    // gathers them from its own adjacency and sorts them locally; each
-    // election groups one partner v. Owners emit their CDS links (smaller
-    // endpoint first) for the per-node buckets below.
-    const std::vector<Edge> links = engine::gather_owned<Edge>(
-        pool, n, [&](std::size_t i, std::vector<Edge>& out) {
-            const auto u = static_cast<NodeId>(i);
-            if (!cluster.is_dominator(u)) return;
-            thread_local ElectionScratch scratch;
-            auto& entries = scratch.entries;
-            std::size_t evaluated = 0;
-            // Calls decide(v, begin, end) for every group of equal
-            // partner v in the sorted entries.
-            const auto for_each_group = [&](auto&& decide) {
-                for (std::size_t begin = 0; begin < entries.size();) {
-                    std::size_t end = begin;
-                    while (end < entries.size() && entries[end].first == entries[begin].first) {
-                        ++end;
-                    }
-                    decide(entries[begin].first, begin, end);
-                    begin = end;
-                }
-            };
+    // gathers them from its own adjacency; each election groups one
+    // partner v. Phase A: dominators two hops apart (u < v); candidates
+    // are dominatees adjacent to both.
+    entries.clear();
+    for (const NodeId w : udg.neighbors(u)) {
+        if (!has_dominator(w, u)) continue;
+        for (const NodeId v : cluster.dominators(w)) {
+            if (v > u) entries.push_back({v, w});
+        }
+    }
+    std::sort(entries.begin(), entries.end());
+    evaluated += entries.size();
+    for_each_group([&](NodeId v, std::size_t begin, std::size_t end) {
+        elect(udg, end - begin, [&](std::size_t k) { return entries[begin + k].second; },
+              scratch.winners);
+        for (const NodeId w : scratch.winners) {
+            add(u, w);
+            add(w, v);
+        }
+    });
 
-            // Phase A: dominators two hops apart (u < v); candidates are
-            // dominatees adjacent to both.
-            entries.clear();
-            for (const NodeId w : udg.neighbors(u)) {
-                if (!has_dominator(w, u)) continue;
-                for (const NodeId v : cluster.dominators(w)) {
-                    if (v > u) entries.push_back({v, w});
-                }
+    // Phase B: first leg of three-hop connections u → v.
+    entries.clear();
+    for (const NodeId w : udg.neighbors(u)) {
+        if (!has_dominator(w, u)) continue;
+        for (const NodeId v : cluster.two_hop_dominators(w)) entries.push_back({v, w});
+    }
+    std::sort(entries.begin(), entries.end());
+    evaluated += entries.size();
+    for_each_group([&](NodeId v, std::size_t begin, std::size_t end) {
+        elect(udg, end - begin, [&](std::size_t k) { return entries[begin + k].second; },
+              scratch.winners);
+        // Phase C: second leg — dominatees x of v audible from a
+        // first-leg winner w; a winning x links to v and to every
+        // first-leg winner it hears.
+        auto& audible = scratch.audible;
+        audible.clear();
+        for (const NodeId w : scratch.winners) {
+            add(u, w);
+            for (const NodeId x : udg.neighbors(w)) {
+                if (has_dominator(x, v)) audible.push_back({x, w});
             }
-            std::sort(entries.begin(), entries.end());
-            evaluated += entries.size();
-            for_each_group([&](NodeId v, std::size_t begin, std::size_t end) {
-                elect(udg, end - begin, [&](std::size_t k) { return entries[begin + k].second; },
-                      scratch.winners);
-                for (const NodeId w : scratch.winners) {
-                    mark(w);
-                    add(out, u, w);
-                    add(out, w, v);
-                }
-            });
+        }
+        std::sort(audible.begin(), audible.end());
+        auto& seconds = scratch.seconds;
+        seconds.clear();
+        for (const auto& [x, w] : audible) {
+            if (seconds.empty() || seconds.back() != x) seconds.push_back(x);
+        }
+        evaluated += seconds.size();
+        elect(udg, seconds.size(), [&](std::size_t k) { return seconds[k]; },
+              scratch.second_winners);
+        for (const NodeId x : scratch.second_winners) {
+            add(x, v);
+            const auto range = std::equal_range(
+                audible.begin(), audible.end(), Edge{x, 0},
+                [](const Edge& a, const Edge& b) { return a.first < b.first; });
+            for (auto it = range.first; it != range.second; ++it) add(x, it->second);
+        }
+    });
+    return evaluated;
+}
 
-            // Phase B: first leg of three-hop connections u → v.
-            entries.clear();
-            for (const NodeId w : udg.neighbors(u)) {
-                if (!has_dominator(w, u)) continue;
-                for (const NodeId v : cluster.two_hop_dominators(w)) entries.push_back({v, w});
-            }
-            std::sort(entries.begin(), entries.end());
-            evaluated += entries.size();
-            for_each_group([&](NodeId v, std::size_t begin, std::size_t end) {
-                elect(udg, end - begin, [&](std::size_t k) { return entries[begin + k].second; },
-                      scratch.winners);
-                // Phase C: second leg — dominatees x of v audible from a
-                // first-leg winner w; a winning x links to v and to every
-                // first-leg winner it hears.
-                auto& audible = scratch.audible;
-                audible.clear();
-                for (const NodeId w : scratch.winners) {
-                    mark(w);
-                    add(out, u, w);
-                    for (const NodeId x : udg.neighbors(w)) {
-                        if (has_dominator(x, v)) audible.push_back({x, w});
-                    }
-                }
-                std::sort(audible.begin(), audible.end());
-                auto& seconds = scratch.seconds;
-                seconds.clear();
-                for (const auto& [x, w] : audible) {
-                    if (seconds.empty() || seconds.back() != x) seconds.push_back(x);
-                }
-                evaluated += seconds.size();
-                elect(udg, seconds.size(), [&](std::size_t k) { return seconds[k]; },
-                      scratch.second_winners);
-                for (const NodeId x : scratch.second_winners) {
-                    mark(x);
-                    add(out, x, v);
-                    const auto range = std::equal_range(
-                        audible.begin(), audible.end(), Edge{x, 0},
-                        [](const Edge& a, const Edge& b) { return a.first < b.first; });
-                    for (auto it = range.first; it != range.second; ++it) add(out, x, it->second);
-                }
-            });
-            items.fetch_add(evaluated, std::memory_order_relaxed);
-        });
+/// The owner bodies of owner_at(0 .. count-1) on `pool`'s lanes, slices
+/// joined in owner order; each slice sorted and deduplicated when
+/// `sorted` (a full build's per-node buckets sort the links anyway).
+template <typename OwnerAt>
+ConnectorSlices elect_slices(const GeometricGraph& udg, const ClusterState& cluster,
+                             std::size_t count, OwnerAt owner_at, engine::ThreadPool* pool,
+                             bool sorted, std::size_t* candidates) {
+    std::atomic<std::size_t> items{0};
+    ConnectorSlices slices;
+    slices.links = engine::gather_owned<std::pair<NodeId, NodeId>>(
+        pool, count,
+        [&](std::size_t k, std::vector<std::pair<NodeId, NodeId>>& out) {
+            const auto first = static_cast<std::ptrdiff_t>(out.size());
+            items.fetch_add(elect_owned(udg, cluster, owner_at(k), out),
+                            std::memory_order_relaxed);
+            if (!sorted) return;
+            std::sort(out.begin() + first, out.end());
+            out.erase(std::unique(out.begin() + first, out.end()), out.end());
+        },
+        &slices.offsets);
+    if (candidates != nullptr) *candidates = items.load();
+    return slices;
+}
+
+}  // namespace
+
+ConnectorState elect_connectors(const GeometricGraph& udg, const ClusterState& cluster,
+                                engine::ThreadPool* pool, std::size_t* candidates,
+                                ConnectorSlices* slices) {
+    const std::size_t n = udg.node_count();
+    ConnectorSlices owned = elect_slices(
+        udg, cluster, n, [](std::size_t k) { return static_cast<NodeId>(k); }, pool,
+        slices != nullptr, candidates);
 
     // Per-node buckets instead of one global sort: the deduplicated
     // buckets of the smaller endpoints, in node order, are the sorted
     // edge set.
-    const graph::NodeLists upper = graph::NodeLists::group_pairs(n, links, pool);
+    const graph::NodeLists upper = graph::NodeLists::group_pairs(n, owned.links, pool);
     ConnectorState state;
     state.is_connector.assign(n, false);
     state.cds_edges.reserve(upper.entry_count());
     for (NodeId v = 0; v < n; ++v) {
-        state.is_connector[v] = connector[v] != 0;
-        for (const NodeId w : upper[v]) state.cds_edges.push_back({v, w});
+        for (const NodeId w : upper[v]) {
+            state.cds_edges.push_back({v, w});
+            for (const NodeId end : {v, w}) {
+                if (!cluster.is_dominator(end)) state.is_connector[end] = true;
+            }
+        }
     }
-    if (candidates != nullptr) *candidates = items.load();
+    if (slices != nullptr) *slices = std::move(owned);
     return state;
+}
+
+ConnectorSlices elect_connectors_at(const GeometricGraph& udg, const ClusterState& cluster,
+                                    const std::vector<NodeId>& owners,
+                                    engine::ThreadPool* pool) {
+    return elect_slices(
+        udg, cluster, owners.size(), [&](std::size_t k) { return owners[k]; }, pool,
+        true, nullptr);
 }
 
 ConnectorState find_connectors_alzoubi(const GeometricGraph& udg,

@@ -44,19 +44,40 @@ struct ConnectorState {
 [[nodiscard]] ConnectorState find_connectors(const graph::GeometricGraph& udg,
                                              const ClusterState& cluster);
 
+/// Per-owner output of the connector elections: dominator u's CDS links
+/// (a < b, sorted, duplicate-free) are links[offsets[k], offsets[k+1])
+/// for the k-th owner elected (u itself on a full run; owners[k] for
+/// elect_connectors_at). A node's slice is empty unless it is a
+/// dominator.
+struct ConnectorSlices {
+    std::vector<std::size_t> offsets;
+    std::vector<std::pair<NodeId, NodeId>> links;
+};
+
 /// The same elections as an owner-computes kernel, the one the builders
 /// run: dominator u gathers the candidates of its pairs (u, ·) — two-hop
 /// pairs u < v and three-hop ordered pairs u → v — from its dominatee
 /// neighbours, sorts them locally and decides every election of those
-/// pairs, second legs included. Owners run on `pool`'s lanes when given;
-/// connector marks only go from 0 to 1, and the CDS edges are bucketed
-/// by their smaller endpoint, so the output equals find_connectors at any
-/// lane count. `candidates`, when given, receives the number of
-/// candidate entries evaluated over all three phases.
+/// pairs, second legs included. Owners run on `pool`'s lanes when given
+/// and their link slices join in owner order, so the output equals
+/// find_connectors at any lane count. A connector is a dominatee
+/// endpoint of an elected link. `candidates`, when given, receives the
+/// number of candidate entries evaluated over all three phases;
+/// `slices`, when given, receives every node's link slice.
 [[nodiscard]] ConnectorState elect_connectors(const graph::GeometricGraph& udg,
                                               const ClusterState& cluster,
                                               engine::ThreadPool* pool = nullptr,
-                                              std::size_t* candidates = nullptr);
+                                              std::size_t* candidates = nullptr,
+                                              ConnectorSlices* slices = nullptr);
+
+/// elect_connectors' owner body over `owners` only: slice k holds the
+/// links owners[k] elects under `cluster`. An owner's elections read its
+/// 2-hop ball only, which is what lets dynamic::DynamicSpanner re-elect
+/// the dominators of a dirty region and keep every other slice.
+[[nodiscard]] ConnectorSlices elect_connectors_at(const graph::GeometricGraph& udg,
+                                                  const ClusterState& cluster,
+                                                  const std::vector<NodeId>& owners,
+                                                  engine::ThreadPool* pool = nullptr);
 
 /// The alternative prior art the paper reviews (Alzoubi/Wan/Frieder):
 /// dominator-initiated selection. For every ordered dominator pair

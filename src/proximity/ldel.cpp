@@ -81,16 +81,12 @@ bool bbox_disjoint(const TrianglePoints& s, const TrianglePoints& t) {
 /// cocircular configurations (where each triangle's vertices lie ON the
 /// other's circumcircle and neither strict test fires) the larger
 /// canonical key is removed as a deterministic tie-break.
-struct PairRemoval {
-    bool smaller = false;  ///< s (smaller key) is removed
-    bool larger = false;   ///< t (larger key) is removed
-};
-
-PairRemoval alg3_pair(const TrianglePoints& s, const TrianglePoints& t) {
+Alg3Verdict alg3_verdict(const TrianglePoints& s, const TrianglePoints& t) {
+    if (bbox_disjoint(s, t) || !intersect_impl(s, t)) return {};
     const bool remove_s = cc_contains_impl(s, t);
     const bool remove_t = cc_contains_impl(t, s);
-    if (!remove_s && !remove_t) return {false, true};
-    return {remove_s, remove_t};
+    if (!remove_s && !remove_t) return {true, false, true};
+    return {true, remove_s, remove_t};
 }
 
 /// Algorithm 3 over a sorted triangle set. The constructor precomputes
@@ -195,11 +191,9 @@ void Alg3Filter::removal_scan(std::vector<char>& removed,
         // j > i filter processes each unordered pair exactly once.
         for_each_box_neighbor(i, [&](std::size_t j) {
             if (j <= i) return;
-            const auto& t = tris_[j];
-            if (bbox_disjoint(s, t) || !intersect_impl(s, t)) return;
-            const PairRemoval r = alg3_pair(s, t);
-            if (r.smaller) mark(i);
-            if (r.larger) mark(j);
+            const Alg3Verdict r = alg3_verdict(s, tris_[j]);
+            if (r.remove_smaller) mark(i);
+            if (r.remove_larger) mark(j);
         });
     });
 }
@@ -260,27 +254,50 @@ bool circumcircle_contains_vertex_of(const GeometricGraph& g, TriangleKey s,
     return cc_contains_impl(ccw_points(g, s), ccw_points(g, t));
 }
 
-std::vector<TriangleKey> ldel1_triangles(const GeometricGraph& udg,
-                                         engine::ThreadPool* pool) {
-    const std::size_t n = udg.node_count();
-    // Every node's local triangles, sorted, as CSR slices.
-    std::vector<std::size_t> offsets;
-    const std::vector<TriangleKey> local = engine::gather_owned<TriangleKey>(
-        pool, n,
-        [&](std::size_t u, std::vector<TriangleKey>& out) {
+Alg3Verdict alg3_pair(const GeometricGraph& g, TriangleKey s, TriangleKey t) {
+    assert(s < t);
+    return alg3_verdict(ccw_points(g, s), ccw_points(g, t));
+}
+
+namespace {
+
+/// local_triangles_at for node_at(0 .. count-1), slices joined in order.
+template <typename NodeAt>
+LocalTriangles local_slices(const GeometricGraph& udg, std::size_t count, NodeAt node_at,
+                            engine::ThreadPool* pool) {
+    LocalTriangles local;
+    local.keys = engine::gather_owned<TriangleKey>(
+        pool, count,
+        [&](std::size_t k, std::vector<TriangleKey>& out) {
             // One triangulation arena per lane, reused across nodes and
             // builds: the per-node local Delaunay cost is allocator-bound
             // without it. Results are independent of scratch history.
             thread_local LocalDelaunayScratch scratch;
             thread_local std::vector<TriangleKey> mine;
-            local_triangles_at(udg, static_cast<NodeId>(u), scratch, mine);
+            local_triangles_at(udg, node_at(k), scratch, mine);
             out.insert(out.end(), mine.begin(), mine.end());
         },
-        &offsets);
+        &local.offsets);
+    return local;
+}
+
+}  // namespace
+
+LocalTriangles local_triangles(const GeometricGraph& udg, const std::vector<NodeId>& nodes,
+                               engine::ThreadPool* pool) {
+    return local_slices(udg, nodes.size(), [&](std::size_t k) { return nodes[k]; }, pool);
+}
+
+std::vector<TriangleKey> ldel1_triangles(const GeometricGraph& udg,
+                                         engine::ThreadPool* pool, LocalTriangles* local) {
+    const std::size_t n = udg.node_count();
+    LocalTriangles all = local_slices(
+        udg, n, [](std::size_t k) { return static_cast<NodeId>(k); }, pool);
+    const auto& offsets = all.offsets;
     const auto slice_has = [&](NodeId v, TriangleKey t) {
-        return std::binary_search(local.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                                  local.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]),
-                                  t);
+        return std::binary_search(
+            all.keys.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
+            all.keys.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]), t);
     };
 
     // A triangle is 1-localized Delaunay iff it appears in the local
@@ -289,13 +306,15 @@ std::vector<TriangleKey> ldel1_triangles(const GeometricGraph& udg,
     // since a Delaunay triangle of N1(x) has its circumcircle empty of
     // N1(x)). Each triangle is decided once, at its least vertex, so the
     // owner-order concatenation is already globally sorted.
-    return engine::gather_owned<TriangleKey>(
+    std::vector<TriangleKey> result = engine::gather_owned<TriangleKey>(
         pool, n, [&](std::size_t u, std::vector<TriangleKey>& out) {
             for (std::size_t k = offsets[u]; k < offsets[u + 1]; ++k) {
-                const TriangleKey t = local[k];
+                const TriangleKey t = all.keys[k];
                 if (t.a == u && slice_has(t.b, t) && slice_has(t.c, t)) out.push_back(t);
             }
         });
+    if (local != nullptr) *local = std::move(all);
+    return result;
 }
 
 std::vector<TriangleKey> ldel1_triangles_reference(const GeometricGraph& udg) {

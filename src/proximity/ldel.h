@@ -71,18 +71,50 @@ void local_triangles_at(const graph::GeometricGraph& udg, graph::NodeId u,
 [[nodiscard]] bool circumcircle_contains_vertex_of(const graph::GeometricGraph& g,
                                                    TriangleKey s, TriangleKey t);
 
+/// Per-node local triangle lists in CSR form: slice k is
+/// keys[offsets[k], offsets[k+1]), sorted.
+struct LocalTriangles {
+    std::vector<std::size_t> offsets;
+    std::vector<TriangleKey> keys;
+};
+
+/// local_triangles_at for every node of `nodes`, on `pool`'s lanes when
+/// given: slice k holds nodes[k]'s triangles. The first pass of
+/// ldel1_triangles, over a node list.
+[[nodiscard]] LocalTriangles local_triangles(const graph::GeometricGraph& udg,
+                                             const std::vector<graph::NodeId>& nodes,
+                                             engine::ThreadPool* pool = nullptr);
+
 /// All 1-localized Delaunay triangles of the UDG, sorted. Computed via
 /// per-node local Delaunay triangulations (the efficient O(d log d)-per-
 /// node formulation; equivalent to the circumcircle definition), node
-/// by node on `pool`'s lanes when given.
+/// by node on `pool`'s lanes when given. A triangle is kept iff it is in
+/// the local lists of all three corners. `local`, when given, receives
+/// every node's local list (slice v for node v).
 [[nodiscard]] std::vector<TriangleKey> ldel1_triangles(const graph::GeometricGraph& udg,
-                                                       engine::ThreadPool* pool = nullptr);
+                                                       engine::ThreadPool* pool = nullptr,
+                                                       LocalTriangles* local = nullptr);
 
 /// Definitional O(d^4)-per-node computation of the same triangle set:
 /// enumerates UDG triangles and tests circumcircle emptiness against the
 /// three 1-hop neighborhoods directly. For validation on small inputs.
 [[nodiscard]] std::vector<TriangleKey> ldel1_triangles_reference(
     const graph::GeometricGraph& udg);
+
+/// Algorithm 3's verdict on one pair of triangles.
+struct Alg3Verdict {
+    bool intersect = false;       ///< the pair strictly intersects
+    bool remove_smaller = false;  ///< the smaller key is removed
+    bool remove_larger = false;   ///< the larger key is removed
+};
+
+/// Algorithm 3's pair rule for distinct triangles s < t (canonical
+/// keys): when they intersect, remove the one whose circumcircle strictly
+/// contains a vertex of the other; when neither test fires (exactly
+/// cocircular corners), remove the larger key. The one copy of the rule,
+/// run by planarize_triangles and by the incremental patcher. Exact.
+[[nodiscard]] Alg3Verdict alg3_pair(const graph::GeometricGraph& g, TriangleKey s,
+                                    TriangleKey t);
 
 /// Subset of `triangles` (sorted) surviving Algorithm 3: a triangle is
 /// removed iff it intersects another triangle of the set and its

@@ -8,12 +8,6 @@ namespace geospanner::service {
 
 namespace {
 
-double ms_between(std::chrono::steady_clock::time_point a,
-                  std::chrono::steady_clock::time_point b) {
-    return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(b - a)
-        .count();
-}
-
 /// Structural validation, cheap enough to run on every batch: a batch
 /// that names nonexistent nodes or carries non-finite coordinates is
 /// poisoned — applying it would corrupt the patcher's invariants (or
@@ -144,7 +138,7 @@ void SpannerService::process(Ingest& ingest) {
         return;
     }
 
-    const auto t0 = std::chrono::steady_clock::now();
+    const auto t0 = core::StageClock::now();
     dynamic::PatchStats pstats;
     if (options_.watchdog_ms > 0.0) {
         if (!apply_with_watchdog(batch, pstats)) {
@@ -163,7 +157,7 @@ void SpannerService::process(Ingest& ingest) {
         if (options_.apply_hook) options_.apply_hook(batch);
         pstats = spanner_->apply(batch);
     }
-    const double apply_ms = ms_between(t0, std::chrono::steady_clock::now());
+    const double apply_ms = core::ms_since(t0);
 
     bool gate_ran = false;
     if (gate_configured_) {
@@ -275,7 +269,7 @@ void SpannerService::record_quarantine(std::string reason,
 SnapshotHandle SpannerService::snapshot() {
     const std::lock_guard<std::mutex> lock(state_mutex_);
     if (!cached_) {
-        const auto t0 = std::chrono::steady_clock::now();
+        const auto t0 = core::StageClock::now();
         auto snap = std::make_shared<Snapshot>();
         snap->version = version_;
         snap->points = spanner_->positions();
@@ -285,7 +279,7 @@ SnapshotHandle SpannerService::snapshot() {
         cached_ = std::move(snap);
         const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
         ++snapshots_published_;
-        snapshot_ms_total_ += ms_between(t0, std::chrono::steady_clock::now());
+        snapshot_ms_total_ += core::ms_since(t0);
     }
     return cached_;
 }
@@ -327,7 +321,7 @@ ServiceStats SpannerService::stats() const {
         out.apply_ms_total = apply_ms_total_;
         out.snapshot_ms_total = snapshot_ms_total_;
         const double elapsed_ms =
-            ms_between(start_, std::chrono::steady_clock::now());
+            core::ms_since(start_);
         out.updates_per_sec = elapsed_ms <= 0.0
                                   ? 0.0
                                   : 1000.0 * static_cast<double>(updates_applied_) /

@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/backbone.h"
+#include "core/workload.h"
 #include "dynamic/dynamic_cell_grid.h"
 #include "dynamic_test_util.h"
 #include "proximity/udg.h"
@@ -270,6 +274,127 @@ TEST(DynamicSpanner, PatchStatsReportLocalizedWork) {
         EXPECT_FALSE(stats.pipeline.stages.empty());
     }
     EXPECT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "");
+}
+
+// Under Planarizer::kLdel2 the constructor's state and every batch's
+// (each takes the full rebuild) must be LDel²(ICDS), the centralized
+// build with the same planarizer — not the LDel¹ + Algorithm 3
+// planarization the incremental kernels maintain.
+TEST(DynamicSpanner, Ldel2PlanarizerMatchesCentralizedBuild) {
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+        core::WorkloadConfig config;
+        config.node_count = 600;
+        config.radius = 60.0;
+        config.side = config.radius * std::sqrt(600.0 * 3.14159265358979 / 12.0);
+        config.seed = seed;
+        engine::EngineOptions opts = engine_options(ClusterPolicy::kLowestId);
+        opts.planarizer = core::Planarizer::kLdel2;
+        engine::SpannerEngine engine(opts);
+        DynamicSpanner dyn(engine, core::uniform_points(config), config.radius);
+        const auto ldel2_divergence = [&] {
+            const GeometricGraph udg = proximity::build_udg(dyn.positions(), dyn.radius());
+            if (!(udg == dyn.udg())) return std::string("udg");
+            core::BuildOptions build;
+            build.engine = core::Engine::kCentralized;
+            build.planarizer = core::Planarizer::kLdel2;
+            return test::backbone_diff(dyn.backbone(), core::build_backbone(udg, build));
+        };
+        ASSERT_EQ(ldel2_divergence(), "") << "seed " << seed << " construction";
+        rnd::Xoshiro256 rng(seed * 31);
+        for (int step = 0; step < 4; ++step) {
+            UpdateBatch batch;
+            for (int i = 0; i < 6; ++i) {
+                const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
+                const geom::Point p = dyn.positions()[v];
+                batch.moves.push_back(
+                    {v, {p.x + rng.uniform(-20.0, 20.0), p.y + rng.uniform(-20.0, 20.0)}});
+            }
+            if (step % 2 == 1) {
+                const geom::Point anchor = dyn.positions()[rng.below(dyn.node_count())];
+                batch.joins.push_back({anchor.x + 10.0, anchor.y - 10.0});
+            }
+            EXPECT_TRUE(dyn.apply(batch).fell_back);
+            ASSERT_EQ(ldel2_divergence(), "") << "seed " << seed << " step " << step;
+        }
+    }
+}
+
+// Patching at a size where the owner-list kernels split over lanes,
+// interleaved with fallbacks whose reseeded state the next batches
+// patch: after every batch the state equals the centralized build, and
+// it is the same at 1, 2 and 8 lanes.
+TEST(DynamicSpanner, PatchesAtScaleAcrossFallbacksAndLanes) {
+    constexpr std::size_t kNodes = 3500;
+    core::WorkloadConfig config;
+    config.node_count = kNodes;
+    config.radius = 60.0;
+    config.side = config.radius * std::sqrt(static_cast<double>(kNodes) * 3.14159265358979 / 12.0);
+    config.seed = 5;
+    // Schedule: 32-move batches, single-leave batches (fallback) and one
+    // batch moving every node (over the rebuild cap).
+    enum class Kind { kMoves, kLeave, kOverCap };
+    const Kind schedule[] = {Kind::kMoves,   Kind::kLeave, Kind::kMoves, Kind::kMoves,
+                             Kind::kOverCap, Kind::kMoves, Kind::kLeave, Kind::kMoves};
+    for (const bool clustered : {false, true}) {
+        const auto points =
+            clustered ? core::clustered_points(config, kNodes / 100) : core::uniform_points(config);
+        for (const ClusterPolicy policy :
+             {ClusterPolicy::kLowestId, ClusterPolicy::kHighestDegree}) {
+            const std::string where = std::string(clustered ? "clustered" : "uniform") +
+                                      (policy == ClusterPolicy::kLowestId ? " lowest-id"
+                                                                          : " highest-degree");
+            std::vector<std::unique_ptr<engine::SpannerEngine>> engines;
+            std::vector<std::unique_ptr<DynamicSpanner>> spanners;
+            for (const std::size_t lanes : {1, 2, 8}) {
+                // At this size the 2-hop regions of 32 moves merge into
+                // one component of about a third of the nodes: wider
+                // gates keep those batches on the incremental path (the
+                // every-node batch still exceeds them).
+                engine::EngineOptions opts = test::dynamic_engine_options(policy, lanes);
+                opts.incremental_options.rebuild_fraction = 0.6;
+                opts.incremental_options.total_rebuild_fraction = 0.8;
+                engines.push_back(std::make_unique<engine::SpannerEngine>(opts));
+                spanners.push_back(
+                    std::make_unique<DynamicSpanner>(*engines.back(), points, config.radius));
+            }
+            rnd::Xoshiro256 rng(clustered ? 71 : 72);
+            std::size_t patched = 0;
+            for (std::size_t step = 0; step < std::size(schedule); ++step) {
+                const DynamicSpanner& lead = *spanners.front();
+                UpdateBatch batch;
+                const auto jitter = [&](NodeId v, double step_len) {
+                    const geom::Point p = lead.positions()[v];
+                    batch.moves.push_back({v,
+                                           {p.x + rng.uniform(-step_len, step_len),
+                                            p.y + rng.uniform(-step_len, step_len)}});
+                };
+                if (schedule[step] == Kind::kMoves) {
+                    for (int i = 0; i < 32; ++i) {
+                        jitter(static_cast<NodeId>(rng.below(lead.node_count())), 4.0);
+                    }
+                } else if (schedule[step] == Kind::kLeave) {
+                    batch.leaves.push_back(static_cast<NodeId>(rng.below(lead.node_count())));
+                } else {
+                    for (NodeId v = 0; v < lead.node_count(); ++v) jitter(v, 1.0);
+                }
+                for (const auto& dyn : spanners) {
+                    const PatchStats stats = dyn->apply(batch);
+                    if (schedule[step] != Kind::kMoves) {
+                        EXPECT_TRUE(stats.fell_back) << where << " step " << step;
+                    } else if (dyn == spanners.front() && !stats.fell_back) {
+                        ++patched;
+                    }
+                }
+                ASSERT_EQ(divergence(lead, policy), "") << where << " step " << step;
+                for (std::size_t k = 1; k < spanners.size(); ++k) {
+                    ASSERT_TRUE(spanners[k]->udg() == lead.udg()) << where << " step " << step;
+                    ASSERT_EQ(test::backbone_diff(spanners[k]->backbone(), lead.backbone()), "")
+                        << where << " step " << step << " lanes index " << k;
+                }
+            }
+            EXPECT_GE(patched, 3u) << where << ": move batches must stay incremental";
+        }
+    }
 }
 
 // Trace-replay fuzz across the generator family: any divergence is
