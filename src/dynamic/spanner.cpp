@@ -24,6 +24,13 @@ namespace {
 /// owner slices that join in owner order).
 constexpr std::size_t kParallelThreshold = 64;
 
+/// Dirty components whose seed sets lie within this many hops (over
+/// old ∪ new adjacency) are merged before patching. The per-stage dirty
+/// expansions reach at most 7 hops past a component's seeds, so any
+/// margin >= 8 keeps the planned write/read sets of distinct components
+/// disjoint; the extra hops are safety slack traded against parallelism.
+constexpr std::size_t kComponentMergeHops = 12;
+
 bool sorted_insert(std::vector<graph::NodeId>& list, graph::NodeId value) {
     const auto it = std::lower_bound(list.begin(), list.end(), value);
     if (it != list.end() && *it == value) return false;
@@ -210,8 +217,6 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
     // components and make the rebuild decision per component: only a
     // single over-cap component (or an over-cap union) forces the
     // fallback, so many small far-apart updates stay localized.
-    const std::size_t merge_hops =
-        std::max<std::size_t>(opts.incremental_options.component_merge_hops, 8);
     start = StageClock::now();
     // Seeds: the connector-stage set c2 plus every moved node — a move
     // that changed no UDG edge still dirties the LDel/Gabriel stages, so
@@ -221,9 +226,9 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
     std::vector<NodeId> comp_seeds = build_c2(ctx);
     comp_seeds.insert(comp_seeds.end(), ctx.moved.begin(), ctx.moved.end());
     sort_unique(comp_seeds);
-    std::vector<DirtyComponent> comps = decompose_components(ctx, comp_seeds, merge_hops);
+    std::vector<DirtyComponent> comps = decompose_components(ctx, comp_seeds);
     push_stage(&stats.pipeline, "decompose-patch", start, comps.size(), 1);
-    stats.separation_hops = merge_hops + 1;
+    stats.separation_hops = kComponentMergeHops + 1;
     std::size_t region_total = 0;
     for (DirtyComponent& comp : comps) {
         comp.over_cap = comp.region.size() > comp_cap;
@@ -491,8 +496,7 @@ std::vector<graph::NodeId> DynamicSpanner::build_c2(const PatchContext& ctx) con
 }
 
 std::vector<DynamicSpanner::DirtyComponent> DynamicSpanner::decompose_components(
-    const PatchContext& ctx, const std::vector<NodeId>& c2,
-    std::size_t merge_hops) const {
+    const PatchContext& ctx, const std::vector<NodeId>& c2) const {
     std::vector<DirtyComponent> comps;
     if (c2.empty()) return comps;
 
@@ -519,13 +523,13 @@ std::vector<DynamicSpanner::DirtyComponent> DynamicSpanner::decompose_components
         }
     };
 
-    // Multi-source label BFS over old ∪ new adjacency, ceil(merge_hops/2)
-    // rounds per side. Seeds within 2·depth >= merge_hops hops collide on
+    // Multi-source label BFS over old ∪ new adjacency, ceil(margin/2)
+    // rounds per side. Seeds within 2·depth >= margin hops collide on
     // some middle node and merge; seeds of distinct final components are
-    // therefore >= 2·depth + 1 >= merge_hops + 1 hops apart — clear of
+    // therefore >= 2·depth + 1 >= margin + 1 hops apart — clear of
     // the <= 7-hop reach of every stage's dirty expansion, which is what
     // makes the per-component plans' read/write sets disjoint.
-    const std::size_t depth = (merge_hops + 1) / 2;
+    const std::size_t depth = (kComponentMergeHops + 1) / 2;
     constexpr std::uint32_t kNone = ~std::uint32_t{0};
     std::vector<std::uint32_t> label(points_.size(), kNone);
     std::vector<NodeId> frontier;

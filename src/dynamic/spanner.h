@@ -33,12 +33,11 @@
 //
 // Concurrency: a batch's dirty set is decomposed into connected dirty
 // components (multi-source label BFS over old ∪ new adjacency with a
-// hop merge margin, unioned when frontiers meet). Components whose seed
-// sets stay >= component_merge_hops + 1 hops apart are gated
-// separately. The owner bodies of every stage run on the engine
-// ThreadPool against the frozen pre-commit state, and their slices are
-// committed serially in owner order, so output is bit-identical at any
-// thread count.
+// fixed 12-hop merge margin, unioned when frontiers meet). Components
+// whose seed sets stay >= 13 hops apart are gated separately. The owner
+// bodies of every stage run on the engine ThreadPool against the frozen
+// pre-commit state, and their slices are committed serially in owner
+// order, so output is bit-identical at any thread count.
 //
 // Fallback policy: the rebuild decision is per component. Only a batch
 // with a *single* component whose 2-hop dirty region exceeds
@@ -114,7 +113,7 @@ struct PatchStats {
     std::vector<ComponentStats> components;
     std::size_t component_fallbacks = 0;  ///< components over the per-component cap
     /// Certified minimum hop separation between distinct components'
-    /// seed sets over old ∪ new adjacency (component_merge_hops + 1);
+    /// seed sets over old ∪ new adjacency (the 12-hop merge margin + 1);
     /// 0 when no decomposition ran. verify::audit_patch_components
     /// checks the region layout against it.
     std::size_t separation_hops = 0;
@@ -130,7 +129,8 @@ class DynamicSpanner {
   public:
     /// Builds the backbone through the engine and seeds the patch state;
     /// `stats`, when given, receives the engine's stage rows plus a
-    /// "seed" row for the patch state.
+    /// "seed" row for the patch state. Throws std::invalid_argument on
+    /// hostile coordinates (engine::build_udg_staged).
     DynamicSpanner(engine::SpannerEngine& engine, std::vector<geom::Point> points,
                    double radius, core::PipelineStats* stats = nullptr);
 
@@ -221,14 +221,13 @@ class DynamicSpanner {
     /// fresh join). Sorted.
     [[nodiscard]] std::vector<NodeId> build_c2(const PatchContext& ctx) const;
     /// Partitions `c2` into connected dirty components: multi-source
-    /// label BFS over old ∪ new adjacency, depth merge_hops / 2 per
-    /// side, union-find merging labels whose frontiers meet. Distinct
-    /// components' seed sets end up >= merge_hops + 1 hops apart.
+    /// label BFS over old ∪ new adjacency, half the merge margin deep
+    /// per side, union-find merging labels whose frontiers meet.
+    /// Distinct components' seed sets end up >= margin + 1 hops apart.
     /// Components come back in deterministic smallest-seed order with
     /// their 2-hop dirty regions attached.
     [[nodiscard]] std::vector<DirtyComponent> decompose_components(
-        const PatchContext& ctx, const std::vector<NodeId>& c2,
-        std::size_t merge_hops) const;
+        const PatchContext& ctx, const std::vector<NodeId>& c2) const;
     /// Re-elects the dominators within 2 hops of `seeds` and re-decides
     /// the CDS links and connector flags their slices touched.
     void stage_connectors(PatchContext& ctx, const std::vector<NodeId>& seeds);

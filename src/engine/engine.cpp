@@ -20,6 +20,7 @@ using core::StageClock;
 
 GeometricGraph build_udg_staged(ThreadPool& pool, std::vector<geom::Point> points,
                                 double radius, core::PipelineStats* stats) {
+    proximity::require_grid_range(points, radius);
     auto start = StageClock::now();
     const auto n = static_cast<NodeId>(points.size());
     if (n == 0 || radius <= 0.0) {
@@ -55,31 +56,20 @@ core::Backbone build_backbone_staged(ThreadPool& pool, const GeometricGraph& udg
                                      const EngineOptions& options,
                                      core::PipelineStats* stats,
                                      verify::AuditTrail* trail, BuildIntermediates* keep) {
-    const auto start = StageClock::now();
-    protocol::ClusterState cluster =
-        protocol::cluster_reference(udg, options.cluster_policy, &pool);
-    push_stage(stats, "clustering", start, udg.node_count(), pool.available_lanes());
-    if (options.audit && trail != nullptr) {
-        trail->stages.push_back(
-            verify::audit_clustering(udg, cluster, options.audit_options));
-    }
-    return build_backbone_from_cluster(pool, udg, std::move(cluster), options, stats,
-                                       trail, keep);
-}
-
-core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGraph& udg,
-                                           protocol::ClusterState cluster,
-                                           const EngineOptions& options,
-                                           core::PipelineStats* stats,
-                                           verify::AuditTrail* trail,
-                                           BuildIntermediates* keep) {
     const auto n = static_cast<NodeId>(udg.node_count());
     const std::size_t lanes = pool.available_lanes();
     const bool audit = options.audit && trail != nullptr;
     core::Backbone result;
-    result.cluster = std::move(cluster);
 
     auto start = StageClock::now();
+    result.cluster = protocol::cluster_reference(udg, options.cluster_policy, &pool);
+    push_stage(stats, "clustering", start, n, lanes);
+    if (audit) {
+        trail->stages.push_back(
+            verify::audit_clustering(udg, result.cluster, options.audit_options));
+    }
+
+    start = StageClock::now();
     std::size_t candidate_items = 0;
     const protocol::ConnectorState connectors =
         protocol::elect_connectors(udg, result.cluster, &pool, &candidate_items,

@@ -51,14 +51,6 @@ struct IncrementalOptions {
     /// into components — past roughly half the graph, even perfectly
     /// parallel localized patching loses to one parallel rebuild.
     double total_rebuild_fraction = 0.5;
-    /// Dirty components whose seed sets lie within this many hops (over
-    /// the union of pre- and post-batch adjacency) are merged before
-    /// patching. The per-stage dirty expansions reach at most 7 hops
-    /// past a component's seeds, so any value >= 8 keeps the planned
-    /// write/read sets of distinct components disjoint; values below
-    /// that are clamped. Larger margins only trade parallelism for
-    /// safety slack.
-    std::size_t component_merge_hops = 12;
 };
 
 struct EngineOptions {
@@ -103,6 +95,9 @@ struct BuildIntermediates {
 /// parallel, the edge merge happens in node order. Identical output to
 /// proximity::build_udg. Appends "grid" (spatial-grid / Morton reorder
 /// cost) and "udg" (neighbor scans) stages to `stats` when given.
+/// Every engine-backed builder enters here, so this is where hostile
+/// input stops: throws std::invalid_argument on a non-finite radius or
+/// a point outside proximity::in_grid_range.
 [[nodiscard]] graph::GeometricGraph build_udg_staged(ThreadPool& pool,
                                                      std::vector<geom::Point> points,
                                                      double radius,
@@ -122,21 +117,6 @@ struct BuildIntermediates {
                                                    core::PipelineStats* stats = nullptr,
                                                    verify::AuditTrail* trail = nullptr,
                                                    BuildIntermediates* keep = nullptr);
-
-/// The pipeline from the connector stage on, over an externally supplied
-/// clustering — the seam the tile-sharded builder (src/shard) plugs
-/// into: the MIS election is the one stage whose decision chains are not
-/// O(1)-hop local (a lowest-id chain propagates roles arbitrarily far),
-/// so the sharded engine elects roles once on the merged UDG and runs
-/// this per tile with the cluster state restricted to the tile's halo
-/// region. build_backbone_staged is exactly cluster_reference + this
-/// call. No clustering StageStats/StageAudit entry is appended here;
-/// the caller owns that stage.
-[[nodiscard]] core::Backbone build_backbone_from_cluster(
-    ThreadPool& pool, const graph::GeometricGraph& udg,
-    protocol::ClusterState cluster, const EngineOptions& options,
-    core::PipelineStats* stats = nullptr, verify::AuditTrail* trail = nullptr,
-    BuildIntermediates* keep = nullptr);
 
 /// Facade owning the pool: one engine, many builds.
 class SpannerEngine {

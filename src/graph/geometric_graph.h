@@ -76,8 +76,8 @@ class GeometricGraph {
     /// Bulk construction from a lexicographically sorted, duplicate-free
     /// edge list with u < v per pair — the inverse of edges(). Equal to
     /// add_edge-ing every pair, but O(nodes + edges), writing an
-    /// exact-capacity CSR slab with no list relocations; the tile-sharded
-    /// merge and ldel_graph build their graphs this way.
+    /// exact-capacity CSR slab with no list relocations; the engine's UDG
+    /// stage and ldel_graph build their graphs this way.
     [[nodiscard]] static GeometricGraph from_edges(
         std::vector<geom::Point> points,
         const std::vector<std::pair<NodeId, NodeId>>& sorted_edges);

@@ -1,6 +1,8 @@
 #include "proximity/cell_grid.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace geospanner::proximity {
 
@@ -28,6 +30,18 @@ std::size_t pow2_at_least(std::size_t n) noexcept {
 }
 
 }  // namespace
+
+void require_grid_range(const std::vector<geom::Point>& points, double radius) {
+    if (!std::isfinite(radius)) {
+        throw std::invalid_argument("non-finite radius");
+    }
+    for (std::size_t v = 0; v < points.size(); ++v) {
+        if (!in_grid_range(points[v], radius)) {
+            throw std::invalid_argument("non-finite or out-of-range coordinate for node " +
+                                        std::to_string(v));
+        }
+    }
+}
 
 CompactCellGrid::CompactCellGrid(const std::vector<geom::Point>& points,
                                  double cell_side)
@@ -113,46 +127,6 @@ CompactCellGrid::CompactCellGrid(const std::vector<geom::Point>& points,
         xs_[slot] = points[v].x;
         ys_[slot] = points[v].y;
     }
-}
-
-std::vector<graph::NodeId> CompactCellGrid::nodes_in_rect(double min_x, double min_y,
-                                                          double max_x,
-                                                          double max_y) const {
-    std::vector<graph::NodeId> out;
-    if (min_x > max_x || min_y > max_y || cells_.empty()) return out;
-    const auto [lo_x, lo_y] = cell_of({min_x, min_y}, cell_side_);
-    const auto [hi_x, hi_y] = cell_of({max_x, max_y}, cell_side_);
-    // Unsigned widths: the corner cells can sit at opposite ends of the
-    // coordinate range, where a signed difference would overflow.
-    const auto span_x =
-        static_cast<std::uint64_t>(hi_x) - static_cast<std::uint64_t>(lo_x) + 1;
-    const auto span_y =
-        static_cast<std::uint64_t>(hi_y) - static_cast<std::uint64_t>(lo_y) + 1;
-    const bool scan_grid = span_x > cells_.size() || span_y > cells_.size() ||
-                           span_x * span_y > cells_.size();
-    if (scan_grid) {
-        for (std::uint32_t k = 0; k < cells_.size(); ++k) {
-            const CellCoord& cell = cells_[k];
-            if (cell.first < lo_x || cell.first > hi_x || cell.second < lo_y ||
-                cell.second > hi_y) {
-                continue;
-            }
-            out.insert(out.end(), ids_.begin() + offsets_[k],
-                       ids_.begin() + offsets_[k + 1]);
-        }
-    } else {
-        for (long long cx = lo_x; cx <= hi_x; ++cx) {
-            for (long long cy = lo_y; cy <= hi_y; ++cy) {
-                const std::uint32_t k = find_cell({cx, cy});
-                if (k == kNoCell) continue;
-                out.insert(out.end(), ids_.begin() + offsets_[k],
-                           ids_.begin() + offsets_[k + 1]);
-            }
-        }
-    }
-    // Cells are disjoint, so sorting alone canonicalizes the result.
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 }  // namespace geospanner::proximity

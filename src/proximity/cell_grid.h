@@ -3,10 +3,7 @@
 // Nodes are bucketed into square cells of side `radius`, so any pair
 // within one radius lies in the same or an adjacent cell. Both the
 // sequential UDG builder and the engine's parallel UDG stage consume the
-// same grid, so they enumerate identical candidate sets. The grid is
-// also tile-addressable: nodes_in_rect answers "every node in the cells
-// covering this rectangle", which is how the tile-sharded builder
-// (src/shard) extracts a tile's halo region.
+// same grid, so they enumerate identical candidate sets.
 //
 // Storage is CSR, not a hash map of per-cell vectors: all slots live in
 // three flat columns (node id, x, y) with one offset array delimiting
@@ -33,11 +30,27 @@ namespace geospanner::proximity {
 
 using CellCoord = std::pair<long long, long long>;
 
-/// Cell containing point p at the given cell side.
+/// Cell containing point p at the given cell side. Requires
+/// in_grid_range(p, cell_side): the quotient is cast to long long.
 [[nodiscard]] inline CellCoord cell_of(geom::Point p, double cell_side) noexcept {
     return {static_cast<long long>(std::floor(p.x / cell_side)),
             static_cast<long long>(std::floor(p.y / cell_side))};
 }
+
+/// True when p can be bucketed at cell side `radius`: both coordinates
+/// are finite and, for a positive radius, |coord| / radius < 2^62, which
+/// keeps every cell index and its ±1 neighbors inside long long.
+[[nodiscard]] inline bool in_grid_range(geom::Point p, double radius) noexcept {
+    constexpr double kMaxCellIndex = 0x1p62;
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) return false;
+    return radius <= 0.0 || (std::abs(p.x) / radius < kMaxCellIndex &&
+                             std::abs(p.y) / radius < kMaxCellIndex);
+}
+
+/// Throws std::invalid_argument unless `radius` is finite and every
+/// point is in_grid_range. Both UDG builders (proximity::build_udg,
+/// engine::build_udg_staged) run it before bucketing anything.
+void require_grid_range(const std::vector<geom::Point>& points, double radius);
 
 /// Hash over cell coordinates. All mixing happens on unsigned 64-bit
 /// values (signed multiplication would overflow — UB — for cells beyond
@@ -122,18 +135,6 @@ class CompactCellGrid {
             }
         }
     }
-
-    /// Every node bucketed in a cell that intersects the closed
-    /// rectangle [min_x, max_x] × [min_y, max_y], ascending and
-    /// duplicate-free. Cell granularity: covers every node inside the
-    /// rectangle but may include nodes up to one cell_side outside it.
-    /// When the rectangle spans more cells than the grid holds — a huge
-    /// query over a sparse grid — the scan flips to iterating the
-    /// populated cells instead, so the cost is O(min(cells in rect,
-    /// populated cells) + hits log hits) either way.
-    [[nodiscard]] std::vector<graph::NodeId> nodes_in_rect(double min_x, double min_y,
-                                                           double max_x,
-                                                           double max_y) const;
 
   private:
     double cell_side_ = 1.0;

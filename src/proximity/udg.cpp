@@ -11,6 +11,7 @@ using graph::GeometricGraph;
 using graph::NodeId;
 
 GeometricGraph build_udg(std::vector<geom::Point> points, double radius) {
+    require_grid_range(points, radius);
     const auto n = static_cast<NodeId>(points.size());
     if (n == 0 || radius <= 0.0) return GeometricGraph(std::move(points));
 

@@ -12,7 +12,8 @@
 namespace geospanner::proximity {
 
 /// Builds the unit disk graph over `points` with the given transmission
-/// radius (edge iff distance <= radius).
+/// radius (edge iff distance <= radius). Throws std::invalid_argument
+/// on input require_grid_range refuses.
 [[nodiscard]] graph::GeometricGraph build_udg(std::vector<geom::Point> points, double radius);
 
 }  // namespace geospanner::proximity

@@ -1,30 +1,33 @@
 #include "service/service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
+
+#include "proximity/cell_grid.h"
 
 namespace geospanner::service {
 
 namespace {
 
 /// Structural validation, cheap enough to run on every batch: a batch
-/// that names nonexistent nodes or carries non-finite coordinates is
-/// poisoned — applying it would corrupt the patcher's invariants (or
-/// crash), so it is quarantined before apply. `n` is the pre-batch
-/// node count.
-std::string validate_batch(const dynamic::UpdateBatch& batch, std::size_t n) {
+/// that names nonexistent nodes or carries coordinates the cell grid
+/// cannot bucket (proximity::in_grid_range) is poisoned — applying it
+/// would corrupt the patcher's invariants (or crash), so it is
+/// quarantined before apply. `n` is the pre-batch node count.
+std::string validate_batch(const dynamic::UpdateBatch& batch, std::size_t n,
+                           double radius) {
     for (const auto& mv : batch.moves) {
         if (mv.node >= n) {
             return "move targets nonexistent node " + std::to_string(mv.node);
         }
-        if (!std::isfinite(mv.to.x) || !std::isfinite(mv.to.y)) {
-            return "non-finite move coordinate for node " + std::to_string(mv.node);
+        if (!proximity::in_grid_range(mv.to, radius)) {
+            return "non-finite or out-of-range move coordinate for node " +
+                   std::to_string(mv.node);
         }
     }
     for (const geom::Point p : batch.joins) {
-        if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
-            return "non-finite join coordinate";
+        if (!proximity::in_grid_range(p, radius)) {
+            return "non-finite or out-of-range join coordinate";
         }
     }
     // Leaves apply sequentially with swap-remove, so each one must be
@@ -129,7 +132,7 @@ void SpannerService::process(Ingest& ingest) {
 
     // Each outcome below updates its counters in one stats_mutex_
     // section, so stats() never sees a half-counted batch.
-    const std::string invalid = validate_batch(batch, spanner_->node_count());
+    const std::string invalid = validate_batch(batch, spanner_->node_count(), radius_);
     if (!invalid.empty()) {
         // Caught before apply: state untouched, nothing to roll back.
         record_quarantine(invalid, batch, /*rolled_back=*/false);

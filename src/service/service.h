@@ -160,6 +160,9 @@ struct ServiceStats {
 /// reference must outlive the service (same contract as DynamicSpanner).
 class SpannerService {
   public:
+    /// Throws std::invalid_argument on hostile coordinates, like
+    /// DynamicSpanner; batches are checked against the same
+    /// proximity::in_grid_range bound and quarantined.
     SpannerService(engine::SpannerEngine& engine, std::vector<geom::Point> points,
                    double radius, ServiceOptions options = {});
     ~SpannerService();  ///< stop() + join

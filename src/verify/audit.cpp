@@ -444,124 +444,6 @@ StageAudit audit_ldel(const GeometricGraph& udg, const core::Backbone& backbone,
     return stage;
 }
 
-StageAudit audit_shards(const GeometricGraph& udg, const core::Backbone& backbone,
-                        const ShardLayout& layout, const AuditOptions& options) {
-    const std::size_t n = udg.node_count();
-    const std::size_t tiles = layout.regions.size();
-
-    // Region membership bitmaps, reused by every report below.
-    std::vector<std::vector<bool>> in_region(tiles, std::vector<bool>(n, false));
-    for (std::size_t t = 0; t < tiles; ++t) {
-        for (NodeId v : layout.regions[t]) {
-            if (v < n) in_region[t][v] = true;
-        }
-    }
-
-    AuditReport ownership = make_report("shard_ownership", "shard partition");
-    if (layout.tile_of.size() != n) {
-        Witness w;
-        w.measured = static_cast<double>(layout.tile_of.size());
-        w.bound = static_cast<double>(n);
-        w.detail = "tile_of covers " + std::to_string(layout.tile_of.size()) +
-                   " nodes, UDG has " + std::to_string(n);
-        add_witness(ownership, options, std::move(w));
-    } else {
-        for (NodeId v = 0; v < n; ++v) {
-            const std::uint32_t t = layout.tile_of[v];
-            if (t >= tiles) {
-                Witness w;
-                w.nodes.push_back(v);
-                w.measured = static_cast<double>(t);
-                w.bound = static_cast<double>(tiles);
-                w.detail = "node " + std::to_string(v) + " owned by tile " +
-                           std::to_string(t) + " but only " + std::to_string(tiles) +
-                           " tiles exist";
-                add_witness(ownership, options, std::move(w));
-            } else if (!in_region[t][v]) {
-                Witness w;
-                w.nodes.push_back(v);
-                w.detail = "node " + std::to_string(v) + " missing from region of its" +
-                           " owner tile " + std::to_string(t);
-                add_witness(ownership, options, std::move(w));
-            }
-        }
-    }
-
-    // Halo sufficiency: multi-source BFS from each tile's owned set in
-    // the merged UDG must stay inside the region for halo_hops levels —
-    // the "every owned decision saw its full hop ball" certificate.
-    AuditReport halo = make_report("shard_halo", "shard halo width");
-    if (ownership.pass) {
-        std::vector<std::uint32_t> dist(n);
-        std::vector<NodeId> frontier, next;
-        for (std::size_t t = 0; t < tiles; ++t) {
-            std::fill(dist.begin(), dist.end(),
-                      std::numeric_limits<std::uint32_t>::max());
-            frontier.clear();
-            for (NodeId v = 0; v < n; ++v) {
-                if (layout.tile_of[v] == t) {
-                    dist[v] = 0;
-                    frontier.push_back(v);
-                }
-            }
-            for (std::uint32_t hop = 1;
-                 hop <= layout.halo_hops && !frontier.empty(); ++hop) {
-                next.clear();
-                for (NodeId u : frontier) {
-                    for (NodeId v : udg.neighbors(u)) {
-                        if (dist[v] != std::numeric_limits<std::uint32_t>::max()) {
-                            continue;
-                        }
-                        dist[v] = hop;
-                        next.push_back(v);
-                        if (!in_region[t][v]) {
-                            Witness w;
-                            w.nodes.push_back(v);
-                            w.measured = static_cast<double>(hop);
-                            w.bound = static_cast<double>(layout.halo_hops);
-                            w.detail = "node " + std::to_string(v) + " is " +
-                                       std::to_string(hop) + " hops from tile " +
-                                       std::to_string(t) +
-                                       "'s owned set but outside its region";
-                            add_witness(halo, options, std::move(w));
-                        }
-                    }
-                }
-                frontier.swap(next);
-            }
-        }
-    }
-
-    // Edge coverage: every merged edge lies fully inside the region of
-    // the tile that owns it (tile of the smaller endpoint), i.e. some
-    // tile's pipeline actually saw both endpoints and certified it.
-    AuditReport coverage = make_report("shard_edge_coverage", "shard merge");
-    if (ownership.pass) {
-        const auto check_graph = [&](const GeometricGraph& g, const std::string& name) {
-            for (const auto& [u, v] : g.edges()) {
-                const std::uint32_t t = layout.tile_of[std::min(u, v)];
-                if (!in_region[t][u] || !in_region[t][v]) {
-                    Witness w;
-                    w.edges = {{u, v}};
-                    w.detail = name + " edge (" + std::to_string(u) + "," +
-                               std::to_string(v) + ") escapes the region of owner tile " +
-                               std::to_string(t);
-                    add_witness(coverage, options, std::move(w));
-                }
-            }
-        };
-        check_graph(udg, "UDG");
-        check_graph(backbone.cds, "CDS");
-        check_graph(backbone.cds_prime, "CDS'");
-        check_graph(backbone.icds, "ICDS");
-        check_graph(backbone.icds_prime, "ICDS'");
-        check_graph(backbone.ldel_icds, "LDel(ICDS)");
-        check_graph(backbone.ldel_icds_prime, "LDel(ICDS)'");
-    }
-
-    return {"shards", {std::move(ownership), std::move(halo), std::move(coverage)}};
-}
-
 StageAudit audit_patch_components(const GeometricGraph& udg, const PatchLayout& layout,
                                   const AuditOptions& options) {
     const std::size_t n = udg.node_count();

@@ -180,35 +180,6 @@ struct AuditTrail {
                                         const core::Backbone& backbone,
                                         const AuditOptions& options = {});
 
-// ---- Sharded-construction audit --------------------------------------
-
-/// How a tile-sharded build (src/shard) carved the plane: the ownership
-/// map and, per tile, the halo-extended region the tile's pipeline ran
-/// on. Lives here rather than in src/shard so the auditor stays below
-/// the engines in the layer order.
-struct ShardLayout {
-    std::vector<std::uint32_t> tile_of;               ///< node → owner tile
-    std::vector<std::vector<graph::NodeId>> regions;  ///< per tile, ascending
-    std::size_t halo_hops = 0;                        ///< halo width in hop units
-};
-
-/// Shard-boundary audit of a merged sharded build:
-///  * shard_ownership — every node is owned by exactly one valid tile
-///    and appears in that tile's region;
-///  * shard_halo — halo-width sufficiency, certified by multi-source
-///    BFS: every node within halo_hops UDG hops of a tile's owned set
-///    lies in that tile's region (each hop spans ≤ radius, so the
-///    Euclidean halo must dominate the hop ball — this is the invariant
-///    the equivalence proof rests on);
-///  * shard_edge_coverage — every merged backbone edge (CDS, ICDS,
-///    LDel(ICDS) and primed variants) plus every UDG edge has both
-///    endpoints inside its owner tile's region, i.e. at least one tile
-///    actually certified it.
-[[nodiscard]] StageAudit audit_shards(const graph::GeometricGraph& udg,
-                                      const core::Backbone& backbone,
-                                      const ShardLayout& layout,
-                                      const AuditOptions& options = {});
-
 // ---- Dynamic-patch component audit ------------------------------------
 
 /// How one incremental patch carved its dirty set: the per-component
@@ -216,7 +187,7 @@ struct ShardLayout {
 /// dynamic::PatchStats::components) and the minimum seed-set hop
 /// separation the patcher certified between distinct components
 /// (PatchStats::separation_hops). Lives here rather than in src/dynamic
-/// for the same layering reason as ShardLayout.
+/// so the auditor stays below the engines in the layer order.
 struct PatchLayout {
     std::vector<std::vector<graph::NodeId>> regions;  ///< per component, ascending
     std::size_t separation_hops = 0;

@@ -11,9 +11,9 @@
 // crossing-free embedding on every input, degenerate ones included.
 //
 // BackendClaims lives here rather than in src/backends for the same
-// layering reason as ShardLayout and PatchLayout in audit.h: the auditor
-// stays below the engines it certifies, so src/backends can link
-// gs_verify without a cycle.
+// layering reason as PatchLayout in audit.h: the auditor stays below the
+// engines it certifies, so src/backends can link gs_verify without a
+// cycle.
 #pragma once
 
 #include "verify/audit.h"

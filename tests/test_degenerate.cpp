@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/backbone.h"
@@ -14,6 +17,7 @@
 #include "engine/engine.h"
 #include "geom/predicates.h"
 #include "geom/vec2.h"
+#include "proximity/cell_grid.h"
 #include "proximity/udg.h"
 #include "test_util.h"
 #include "verify/audit.h"
@@ -103,7 +107,16 @@ TEST(Degenerate, NearDuplicateCoordinatesAuditClean) {
 
 TEST(Degenerate, EngineMatchesCentralizedOnDegenerateInput) {
     // The staged engine's determinism contract must also hold on the
-    // degenerate workloads, with audits enabled.
+    // degenerate workloads, with audits enabled: exact collinear rows and
+    // cocircular rings, points on shared integer coordinates, exact
+    // duplicates, one coincident cluster, five points all within one
+    // radius, and the empty / single-point / zero-radius corners.
+    struct Case {
+        std::string name;
+        std::vector<geom::Point> points;
+        double radius;
+    };
+    std::vector<Case> cases;
     core::WorkloadConfig config;
     config.node_count = 48;
     config.side = 180.0;
@@ -111,25 +124,89 @@ TEST(Degenerate, EngineMatchesCentralizedOnDegenerateInput) {
     config.seed = 29;
     for (const test::FuzzMode mode :
          {test::FuzzMode::kCollinear, test::FuzzMode::kCocircular}) {
-        SCOPED_TRACE(test::fuzz_mode_name(mode));
-        const auto points = test::fuzz_points(mode, config);
-        const auto udg = proximity::build_udg(points, config.radius);
+        cases.push_back({test::fuzz_mode_name(mode), test::fuzz_points(mode, config),
+                         config.radius});
+    }
+    std::vector<geom::Point> lattice;
+    for (int y = 0; y < 10; ++y) {
+        for (int x = 0; x < 10; ++x) lattice.push_back({double(x), double(y)});
+    }
+    cases.push_back({"lattice", lattice, 1.5});
+    auto duplicated = test::random_points(36, 150.0, 29);
+    const std::size_t base = duplicated.size();
+    for (std::size_t i = 0; i < base; i += 4) duplicated.push_back(duplicated[i]);
+    cases.push_back({"duplicates", duplicated, 50.0});
+    cases.push_back({"coincident", std::vector<geom::Point>(7, {5.0, 5.0}), 1.0});
+    cases.push_back({"five points", test::random_points(5, 50.0, 7), 60.0});
+    cases.push_back({"empty", {}, 1.0});
+    cases.push_back({"single point", {{3.0, 4.0}}, 1.0});
+    cases.push_back({"zero radius", {{0.0, 0.0}, {1.0, 1.0}}, 0.0});
+
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const auto udg = proximity::build_udg(c.points, c.radius);
         const core::Backbone reference =
             core::build_backbone(udg, {core::Engine::kCentralized});
 
         engine::EngineOptions options;
         options.threads = 4;
         options.audit = true;
-        options.audit_options.radius = config.radius;
+        options.audit_options.radius = c.radius;
         engine::SpannerEngine engine(options);
-        const engine::BuildResult result = engine.build(points, config.radius);
+        const engine::BuildResult result = engine.build(c.points, c.radius);
+        const core::Backbone& got = result.backbone;
 
         EXPECT_TRUE(result.audit.pass()) << result.audit.summary();
         EXPECT_EQ(result.udg, udg);
-        EXPECT_EQ(result.backbone.cds, reference.cds);
-        EXPECT_EQ(result.backbone.ldel_icds, reference.ldel_icds);
-        EXPECT_EQ(result.backbone.ldel_icds_prime, reference.ldel_icds_prime);
+        EXPECT_EQ(got.cluster.role, reference.cluster.role);
+        EXPECT_EQ(got.cluster.dominators_of, reference.cluster.dominators_of);
+        EXPECT_EQ(got.cluster.two_hop_dominators_of,
+                  reference.cluster.two_hop_dominators_of);
+        EXPECT_EQ(got.is_connector, reference.is_connector);
+        EXPECT_EQ(got.in_backbone, reference.in_backbone);
+        EXPECT_EQ(got.cds, reference.cds);
+        EXPECT_EQ(got.cds_prime, reference.cds_prime);
+        EXPECT_EQ(got.icds, reference.icds);
+        EXPECT_EQ(got.icds_prime, reference.icds_prime);
+        EXPECT_EQ(got.ldel_icds, reference.ldel_icds);
+        EXPECT_EQ(got.ldel_icds_prime, reference.ldel_icds_prime);
+        EXPECT_EQ(got.ldel_triangles, reference.ldel_triangles);
+        EXPECT_EQ(got.messages.after_cds, reference.messages.after_cds);
+        EXPECT_EQ(got.messages.after_icds, reference.messages.after_icds);
+        EXPECT_EQ(got.messages.after_ldel, reference.messages.after_ldel);
+        EXPECT_EQ(got.messages.ldel_units, reference.messages.ldel_units);
     }
+}
+
+TEST(Degenerate, HostileCoordinatesAreRejected) {
+    // The cell grid casts |coord| / radius to long long, so non-finite
+    // input and quotients at 2^62 or beyond are refused before any grid
+    // is built — never bucketed into a wrapped cell.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    engine::EngineOptions options;
+    options.threads = 2;
+    engine::SpannerEngine engine(options);
+    const std::vector<geom::Point> good = {{0.0, 0.0}, {1.0, 0.0}};
+    for (const geom::Point bad : {geom::Point{nan, 0.0}, {0.0, inf}, {-inf, 1.0},
+                                  {0x1p62, 0.0}, {0.0, -0x1p62}}) {
+        SCOPED_TRACE(::testing::Message() << "(" << bad.x << "," << bad.y << ")");
+        auto points = good;
+        points.push_back(bad);
+        EXPECT_FALSE(proximity::in_grid_range(bad, 1.0));
+        EXPECT_THROW((void)engine.build(points, 1.0), std::invalid_argument);
+        EXPECT_THROW((void)proximity::build_udg(points, 1.0), std::invalid_argument);
+    }
+    for (const double radius : {nan, inf, -inf}) {
+        EXPECT_THROW((void)engine.build(good, radius), std::invalid_argument);
+    }
+    // Non-finite coordinates are refused even where no grid is built.
+    EXPECT_THROW((void)engine.build({{nan, 0.0}}, 0.0), std::invalid_argument);
+
+    // Just inside the bound still builds, and a larger radius brings a
+    // far coordinate back in range.
+    EXPECT_EQ(engine.build({{0x1p61, 0.0}}, 1.0).udg.node_count(), 1u);
+    EXPECT_EQ(engine.build({{0x1p62, -0x1p62}}, 2.0).udg.node_count(), 1u);
 }
 
 // ---- Float-filter boundary ------------------------------------------

@@ -9,7 +9,9 @@
 
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -119,6 +121,15 @@ TEST(DynamicSpanner, InitialBuildMatchesReference) {
                 << "n=" << param.n << " r=" << param.radius << " seed=" << param.seed;
         }
     }
+}
+
+TEST(DynamicSpanner, ConstructionRejectsHostileCoordinates) {
+    engine::SpannerEngine engine(engine_options(ClusterPolicy::kLowestId));
+    const std::vector<geom::Point> nan_point = {
+        {0.0, 0.0}, {std::numeric_limits<double>::quiet_NaN(), 1.0}};
+    EXPECT_THROW(DynamicSpanner(engine, nan_point, 50.0), std::invalid_argument);
+    const std::vector<geom::Point> far_point = {{0.0, 0.0}, {50.0 * 0x1p62, 0.0}};
+    EXPECT_THROW(DynamicSpanner(engine, far_point, 50.0), std::invalid_argument);
 }
 
 TEST(DynamicSpanner, SingleMovesMatchReference) {

@@ -17,7 +17,6 @@
 #include "engine/thread_pool.h"
 #include "protocol/connectors.h"
 #include "proximity/udg.h"
-#include "shard/tile_engine.h"
 #include "test_util.h"
 
 namespace geospanner::engine {
@@ -217,13 +216,6 @@ TEST_P(EngineDeterminismAtScale, EveryFieldMatchesAtEveryLaneCount) {
         expect_all_fields_equal(expected, result.backbone);
         EXPECT_EQ(stage_items(result.stats, "connectors"), candidates);
     }
-
-    shard::ShardOptions shard_options;
-    shard_options.threads = 4;
-    shard::TileShardedEngine sharded(shard_options);
-    const shard::ShardBuildResult result = sharded.build(points, config.radius);
-    EXPECT_EQ(result.udg, udg);
-    expect_all_fields_equal(expected, result.backbone);
 }
 
 INSTANTIATE_TEST_SUITE_P(

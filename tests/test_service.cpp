@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -521,6 +522,30 @@ TEST(SpannerService, PoisonedBatchIsQuarantinedBeforeApply) {
 
     // The service kept serving: the final state is exactly the two
     // healthy batches applied to the initial topology.
+    EXPECT_EQ(snapshot_divergence(*service.snapshot()), "");
+}
+
+TEST(SpannerService, HostileCoordinatesAreRefused) {
+    const auto udg = test::connected_udg(40, 180.0, kRadius, 43);
+    ASSERT_GT(udg.node_count(), 0u);
+    engine::SpannerEngine engine(
+        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+
+    auto hostile = udg.points();
+    hostile.push_back({std::numeric_limits<double>::infinity(), 0.0});
+    EXPECT_THROW(SpannerService(engine, hostile, kRadius), std::invalid_argument);
+
+    // A finite move past the grid bound is quarantined by the same
+    // predicate the constructor applies.
+    SpannerService service(engine, udg.points(), kRadius);
+    dynamic::UpdateBatch far_move;
+    far_move.moves.push_back({0, {kRadius * 0x1p62, 0.0}});
+    ASSERT_TRUE(service.enqueue(std::move(far_move)));
+    service.drain();
+    EXPECT_EQ(service.stats().batches_quarantined, 1u);
+    const auto reports = service.quarantine_reports();
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_NE(reports[0].reason.find("out-of-range"), std::string::npos);
     EXPECT_EQ(snapshot_divergence(*service.snapshot()), "");
 }
 

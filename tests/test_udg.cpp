@@ -131,53 +131,6 @@ TEST(CellGrid, NeighborScanMatchesBruteForce) {
     }
 }
 
-TEST(CellGrid, CellsInRectMatchesBruteForce) {
-    // The tile-addressable range query vs the definition: every node
-    // whose CELL intersects the rectangle (not just nodes inside it),
-    // ascending and duplicate-free. Swept over query rects of every
-    // size class, including empty, degenerate (line/point), and
-    // grid-spanning ones, at near-origin and far-out offsets mirroring
-    // FarOutCoordinatesMatchBruteForce.
-    const double side = 5.0;
-    for (const double ox : {0.0, 9.7e12}) {
-        for (const double oy : {0.0, -4.1e12}) {
-            const auto local = test::random_points(
-                150, 90.0, static_cast<std::uint64_t>(ox + 17.0 - oy));
-            std::vector<geom::Point> pts;
-            for (const geom::Point p : local) pts.push_back({ox + p.x, oy + p.y});
-            const proximity::CompactCellGrid grid(pts, side);
-
-            const double rects[][4] = {
-                {10.0, 10.0, 40.0, 30.0},    // interior box
-                {-20.0, -20.0, 150.0, 150.0},  // covers everything
-                {25.0, 5.0, 25.0, 80.0},     // zero-width line
-                {33.0, 44.0, 33.0, 44.0},    // single point
-                {60.0, 60.0, 50.0, 70.0},    // inverted → empty
-                {-5000.0, 3.0, 5000.0, 7.0},  // spans far more cells than exist
-            };
-            for (const auto& r : rects) {
-                const double min_x = ox + r[0], min_y = oy + r[1];
-                const double max_x = ox + r[2], max_y = oy + r[3];
-                std::vector<NodeId> expected;
-                if (min_x <= max_x && min_y <= max_y) {
-                    const auto lo = proximity::cell_of({min_x, min_y}, side);
-                    const auto hi = proximity::cell_of({max_x, max_y}, side);
-                    for (NodeId v = 0; v < pts.size(); ++v) {
-                        const auto c = proximity::cell_of(pts[v], side);
-                        if (c.first >= lo.first && c.first <= hi.first &&
-                            c.second >= lo.second && c.second <= hi.second) {
-                            expected.push_back(v);
-                        }
-                    }
-                }
-                EXPECT_EQ(grid.nodes_in_rect(min_x, min_y, max_x, max_y), expected)
-                    << "rect (" << r[0] << "," << r[1] << ")-(" << r[2] << "," << r[3]
-                    << ") offset (" << ox << "," << oy << ")";
-            }
-        }
-    }
-}
-
 TEST(CellGrid, HashSpreadsAdjacentAndFarCells) {
     // Sanity: the finalizer separates neighboring cells and does not
     // collapse far-out coordinates onto one bucket.
