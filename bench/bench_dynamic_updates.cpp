@@ -11,10 +11,7 @@
 // With GS_BENCH_JSON set, appends one "construction" JSON line per n
 // (construct_ms plus the stage rows) and one JSON line per configuration
 // (bench "dynamic_updates") carrying patch_ms, full_build_ms, speedup,
-// dirty nodes, batch- and component-level fallback accounting, and the
-// dirty-component region-size histogram. Fallback is a per-component
-// decision, so the interesting ratio is component_fallback_fraction
-// (over-cap components / decomposed components), not the batch count.
+// dirty nodes and the fallback count.
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -46,7 +43,7 @@ int main() {
               << "random-walk moves; displacement in units/update\n\n";
 
     io::Table table({"n", "batch", "step", "patch ms", "dirty nodes", "fallbacks",
-                     "comps", "comp fb%", "updates/s", "full ms", "speedup"});
+                     "updates/s", "full ms", "speedup"});
     for (const std::size_t n : {2000, 5000, 20000}) {
         // Side chosen for constant density (average UDG degree ~12).
         const double side =
@@ -85,12 +82,8 @@ int main() {
             for (const double step : {1.0, radius / 4.0, radius}) {
                 rnd::Xoshiro256 rng(1234 + batch_size * 7 +
                                     static_cast<std::uint64_t>(step));
-                bench::MaxAvg patch_ms, dirty, comps;
+                bench::MaxAvg patch_ms, dirty;
                 std::size_t fallbacks = 0;
-                std::size_t components_total = 0;
-                std::size_t component_fallbacks = 0;
-                // Dirty-component region sizes: ≤16, ≤64, ≤256, ≤1024, >1024.
-                std::size_t region_hist[5] = {0, 0, 0, 0, 0};
                 for (std::size_t trial = 0; trial < patches; ++trial) {
                     dynamic::UpdateBatch batch;
                     for (std::size_t i = 0; i < batch_size; ++i) {
@@ -107,20 +100,7 @@ int main() {
                     patch_ms.add(now_ms() - start);
                     dirty.add(static_cast<double>(stats.dirty_nodes));
                     if (stats.fell_back) ++fallbacks;
-                    comps.add(static_cast<double>(stats.components.size()));
-                    components_total += stats.components.size();
-                    component_fallbacks += stats.component_fallbacks;
-                    for (const auto& comp : stats.components) {
-                        const std::size_t r = comp.region.size();
-                        region_hist[r <= 16 ? 0 : r <= 64 ? 1 : r <= 256 ? 2
-                                    : r <= 1024 ? 3 : 4]++;
-                    }
                 }
-                const double comp_fb_fraction =
-                    components_total == 0
-                        ? 0.0
-                        : static_cast<double>(component_fallbacks) /
-                              static_cast<double>(components_total);
                 const double updates_per_sec =
                     patch_ms.avg() <= 0.0
                         ? 0.0
@@ -134,8 +114,6 @@ int main() {
                     .cell(patch_ms.avg(), 3)
                     .cell(dirty.avg(), 1)
                     .cell(fallbacks)
-                    .cell(comps.avg(), 2)
-                    .cell(100.0 * comp_fb_fraction, 1)
                     .cell(updates_per_sec, 1)
                     .cell(full_ms, 1)
                     .cell(speedup, 1);
@@ -148,14 +126,6 @@ int main() {
                         .add("patch_ms_max", patch_ms.max)
                         .add("dirty_nodes_avg", dirty.avg())
                         .add("fallbacks", fallbacks)
-                        .add("components_avg", comps.avg())
-                        .add("component_fallbacks", component_fallbacks)
-                        .add("component_fallback_fraction", comp_fb_fraction)
-                        .add("region_hist_le16", region_hist[0])
-                        .add("region_hist_le64", region_hist[1])
-                        .add("region_hist_le256", region_hist[2])
-                        .add("region_hist_le1024", region_hist[3])
-                        .add("region_hist_gt1024", region_hist[4])
                         .add("updates_per_sec", updates_per_sec)
                         .add("full_build_ms", full_ms)
                         .add("speedup", speedup);
@@ -167,9 +137,6 @@ int main() {
     std::cout << table.str()
               << "\nthe patch cost tracks the dirty-region size, not n: at the largest\n"
                  "n a single-node move repairs the backbone orders of magnitude\n"
-                 "faster than the from-scratch parallel rebuild. large batches\n"
-                 "decompose into far-apart dirty components gated individually\n"
-                 "(comp fb% = over-cap components), so batch=32 stays on the\n"
-                 "incremental path where a whole-batch gate rebuilt every time.\n";
+                 "faster than the from-scratch parallel rebuild.\n";
     return 0;
 }

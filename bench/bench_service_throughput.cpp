@@ -8,7 +8,7 @@
 //
 // With GS_BENCH_JSON set, appends one JSON line per configuration
 // (bench "service_throughput") with the ingest rate, per-batch apply
-// cost, fallback and component accounting, and snapshot latency.
+// cost, fallback share, and snapshot latency.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -46,8 +46,8 @@ int main() {
               << " batches/config) ===\n"
               << "P producers enqueue, 1 reader snapshots; rate is drain-bounded\n\n";
 
-    io::Table table({"n", "producers", "updates/s", "apply ms", "fallback%", "comps",
-                     "comp fb", "snapshots", "snap ms", "copy ms"});
+    io::Table table({"n", "producers", "updates/s", "apply ms", "fallback%", "snapshots",
+                     "snap ms", "copy ms"});
     for (const std::size_t n : {std::size_t{2000}, std::size_t{20000}}) {
         const double side =
             radius * std::sqrt(static_cast<double>(n) * 3.14159265358979 / 12.0);
@@ -116,9 +116,6 @@ int main() {
                 applied <= 0.0 ? 0.0 : stats.apply_ms_total / applied;
             const double fallback_fraction =
                 applied <= 0.0 ? 0.0 : static_cast<double>(stats.fallbacks) / applied;
-            const double comps_avg =
-                applied <= 0.0 ? 0.0
-                               : static_cast<double>(stats.components_patched) / applied;
             const double copy_ms_avg =
                 stats.snapshots_published == 0
                     ? 0.0
@@ -130,8 +127,6 @@ int main() {
                 .cell(updates_per_sec, 1)
                 .cell(apply_ms_avg, 3)
                 .cell(100.0 * fallback_fraction, 1)
-                .cell(comps_avg, 2)
-                .cell(stats.component_fallbacks)
                 .cell(snapshots_taken)
                 .cell(snap_ms.avg(), 3)
                 .cell(copy_ms_avg, 3);
@@ -145,8 +140,6 @@ int main() {
                     .add("updates_per_sec", updates_per_sec)
                     .add("apply_ms_avg", apply_ms_avg)
                     .add("fallback_fraction", fallback_fraction)
-                    .add("components_avg", comps_avg)
-                    .add("component_fallbacks", stats.component_fallbacks)
                     .add("snapshots", snapshots_taken)
                     .add("snapshot_ms_avg", snap_ms.avg())
                     .add("snapshot_ms_max", snap_ms.max)
@@ -156,8 +149,7 @@ int main() {
         }
     }
     std::cout << table.str()
-              << "\nthe drain-bounded rate tracks the per-batch patch cost: dirty\n"
-                 "components keep large-n batches on the incremental path, and the\n"
+              << "\nthe drain-bounded rate tracks the per-batch patch cost, and the\n"
                  "copy-on-write snapshot prices a reader at one topology copy per\n"
                  "applied batch, taken between batches. snap ms is what the reader\n"
                  "waits (copy plus any apply it queues behind); copy ms is the copy\n"

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdint>
 #include <iterator>
 #include <set>
+#include <stdexcept>
 
 #include "engine/thread_pool.h"
+#include "protocol/clustering.h"
+#include "proximity/cell_grid.h"
 #include "proximity/classic.h"
 
 namespace geospanner::dynamic {
@@ -24,12 +26,11 @@ namespace {
 /// owner slices that join in owner order).
 constexpr std::size_t kParallelThreshold = 64;
 
-/// Dirty components whose seed sets lie within this many hops (over
-/// old ∪ new adjacency) are merged before patching. The per-stage dirty
-/// expansions reach at most 7 hops past a component's seeds, so any
-/// margin >= 8 keeps the planned write/read sets of distinct components
-/// disjoint; the extra hops are safety slack traded against parallelism.
-constexpr std::size_t kComponentMergeHops = 12;
+/// A batch whose dirty region or cascade role flips exceed this share
+/// of n is rebuilt instead of patched: measured at n=3500 and n=20k on
+/// 4 lanes, a patch beat the engine rebuild at every share below ≈0.8
+/// and lost above it.
+constexpr double kRebuildShare = 0.8;
 
 bool sorted_insert(std::vector<graph::NodeId>& list, graph::NodeId value) {
     const auto it = std::lower_bound(list.begin(), list.end(), value);
@@ -48,31 +49,37 @@ std::pair<graph::NodeId, graph::NodeId> norm(graph::NodeId a, graph::NodeId b) {
     return {std::min(a, b), std::max(a, b)};
 }
 
-/// Election ranking of the clustering cascade — must match
-/// protocol::key_of exactly: kLowestId ranks by id, kHighestDegree by
-/// inverted degree then id. Keys are static for the duration of one
-/// patch (degrees are fixed once stage_udg finished), so the worklist
-/// processes nodes in a globally consistent order.
-struct ClusterKey {
-    std::size_t primary = 0;
-    graph::NodeId id = 0;
-    friend auto operator<=>(const ClusterKey&, const ClusterKey&) = default;
-};
-
-ClusterKey cluster_key(const GeometricGraph& udg, graph::NodeId v,
-                       protocol::ClusterPolicy policy) {
-    if (policy == protocol::ClusterPolicy::kHighestDegree) {
-        return {udg.node_count() - udg.degree(v), v};
-    }
-    return {0, v};
-}
-
 /// Sets edge e of `g` to `want`; true when that changed the graph.
 bool set_edge(GeometricGraph& g, std::pair<graph::NodeId, graph::NodeId> e, bool want) {
     return want ? g.add_edge(e.first, e.second) : g.remove_edge(e.first, e.second);
 }
 
 }  // namespace
+
+std::string validate_batch(const UpdateBatch& batch, std::size_t n, double radius) {
+    for (const auto& mv : batch.moves) {
+        if (mv.node >= n) {
+            return "move targets nonexistent node " + std::to_string(mv.node);
+        }
+        if (!proximity::in_grid_range(mv.to, radius)) {
+            return "non-finite or out-of-range move coordinate for node " +
+                   std::to_string(mv.node);
+        }
+    }
+    for (const geom::Point p : batch.joins) {
+        if (!proximity::in_grid_range(p, radius)) {
+            return "non-finite or out-of-range join coordinate";
+        }
+    }
+    std::size_t count = n + batch.joins.size();
+    for (const graph::NodeId leaver : batch.leaves) {
+        if (leaver >= count) {
+            return "leave targets nonexistent node " + std::to_string(leaver);
+        }
+        --count;
+    }
+    return {};
+}
 
 void DynamicSpanner::PatchContext::reset(std::size_t n) {
     *this = PatchContext{};
@@ -120,13 +127,9 @@ void DynamicSpanner::append_node(geom::Point p) {
 }
 
 void DynamicSpanner::apply_positions_only(const UpdateBatch& batch) {
-    for (const auto& mv : batch.moves) {
-        assert(mv.node < points_.size());
-        points_[mv.node] = mv.to;
-    }
+    for (const auto& mv : batch.moves) points_[mv.node] = mv.to;
     for (const geom::Point p : batch.joins) points_.push_back(p);
     for (const NodeId leaver : batch.leaves) {
-        assert(leaver < points_.size());
         points_[leaver] = points_.back();
         points_.pop_back();
     }
@@ -163,6 +166,10 @@ void DynamicSpanner::rebuild_from_scratch(core::PipelineStats* stats) {
 // ---- apply -----------------------------------------------------------
 
 PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
+    if (const std::string invalid = validate_batch(batch, points_.size(), radius_);
+        !invalid.empty()) {
+        throw std::invalid_argument("DynamicSpanner::apply: " + invalid);
+    }
     PatchStats stats;
     const auto fall_back = [&] {
         rebuild_from_scratch(&stats.pipeline);
@@ -170,11 +177,8 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
         stats.dirty_nodes = points_.size();
         return stats;
     };
-    const engine::EngineOptions& opts = engine_->options();
-    const bool incremental_ok = opts.incremental &&
-                                opts.planarizer == core::Planarizer::kLdel1 &&
-                                batch.leaves.empty();
-    if (!incremental_ok) {
+    if (engine_->options().planarizer != core::Planarizer::kLdel1 ||
+        !batch.leaves.empty()) {
         apply_positions_only(batch);
         return fall_back();
     }
@@ -188,62 +192,26 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
     stats.udg_edge_changes = ctx.udg_added.size() + ctx.udg_removed.size();
     push_stage(&stats.pipeline, "udg-patch", start, stats.udg_edge_changes, 1);
 
-    // Whole-batch gate: the dirty region every later stage works from
-    // is bounded by the 2-hop closure (over old ∪ new adjacency) of the
-    // nodes whose position or incident edge set changed. Past
-    // total_rebuild_fraction of n, even perfectly decomposed localized
-    // patching loses to one parallel rebuild (which depends only on
-    // current positions, so bailing here — after stage_udg already
-    // mutated state — is safe). Whether a *component* is too big is
-    // decided after decomposition, per component.
-    std::vector<NodeId> seeds = ctx.moved;
-    seeds.insert(seeds.end(), ctx.adj_changed.begin(), ctx.adj_changed.end());
-    seeds.insert(seeds.end(), ctx.joined.begin(), ctx.joined.end());
-    sort_unique(seeds);
-    const std::size_t comp_cap = static_cast<std::size_t>(
-        opts.incremental_options.rebuild_fraction * static_cast<double>(n_after));
-    const std::size_t total_cap = static_cast<std::size_t>(
-        opts.incremental_options.total_rebuild_fraction * static_cast<double>(n_after));
-    const auto region = expand_hops(udg_, ctx.udg_removed_adj, seeds, 2);
-    if (region.size() > total_cap) return fall_back();
-    for (const NodeId v : region) ctx.touch(v);
-
+    // The region gate. The full rebuild depends only on the current
+    // positions, so bailing out after earlier stages mutated state is
+    // safe. The dirty region holds every moved and joined node, so a
+    // batch with more of them than the cap skips the cascade.
+    const auto cap =
+        static_cast<std::size_t>(kRebuildShare * static_cast<double>(n_after));
+    const auto over_cap = [&] {
+        stats.over_cap = true;
+        return fall_back();
+    };
+    if (ctx.moved.size() + ctx.joined.size() > cap) return over_cap();
     start = StageClock::now();
-    const bool cascade_ok = run_cluster_cascade(ctx, total_cap);
+    const bool cascade_ok = run_cluster_cascade(ctx, cap);
     push_stage(&stats.pipeline, "cluster-patch", start, ctx.roles_changed.size(), 1);
-    if (!cascade_ok) return fall_back();
-
-    // Decompose the connector-stage seed set into connected dirty
-    // components and make the rebuild decision per component: only a
-    // single over-cap component (or an over-cap union) forces the
-    // fallback, so many small far-apart updates stay localized.
-    start = StageClock::now();
-    // Seeds: the connector-stage set c2 plus every moved node — a move
-    // that changed no UDG edge still dirties the LDel/Gabriel stages, so
-    // it must occupy a component (and count against the caps).
-    // Re-electing with the superset only reruns elections whose inputs
-    // are unchanged, which is idempotent.
-    std::vector<NodeId> comp_seeds = build_c2(ctx);
-    comp_seeds.insert(comp_seeds.end(), ctx.moved.begin(), ctx.moved.end());
-    sort_unique(comp_seeds);
-    std::vector<DirtyComponent> comps = decompose_components(ctx, comp_seeds);
-    push_stage(&stats.pipeline, "decompose-patch", start, comps.size(), 1);
-    stats.separation_hops = kComponentMergeHops + 1;
-    std::size_t region_total = 0;
-    for (DirtyComponent& comp : comps) {
-        comp.over_cap = comp.region.size() > comp_cap;
-        region_total += comp.region.size();
-        if (comp.over_cap) ++stats.component_fallbacks;
-        ComponentStats cs;
-        cs.seed_count = comp.seeds.size();
-        cs.over_cap = comp.over_cap;
-        cs.region = std::move(comp.region);
-        stats.components.push_back(std::move(cs));
-    }
-    if (stats.component_fallbacks > 0 || region_total > total_cap) return fall_back();
+    if (!cascade_ok) return over_cap();
 
     start = StageClock::now();
-    stage_connectors(ctx, comp_seeds);
+    const std::vector<NodeId> region = dirty_region(ctx);
+    if (region.size() > cap) return over_cap();
+    stage_connectors(ctx, region);
     push_stage(&stats.pipeline, "connectors-patch", start, ctx.owners_reelected,
                pool_for(ctx.owners_reelected) != nullptr ? engine_->thread_count() : 1);
 
@@ -281,7 +249,6 @@ void DynamicSpanner::stage_udg(const UpdateBatch& batch, PatchContext& ctx) {
         ctx.touch(id);
     }
     for (const auto& mv : batch.moves) {
-        assert(mv.node < points_.size());
         const geom::Point old = points_[mv.node];
         if (old == mv.to) continue;
         grid_.relocate(mv.node, old, mv.to);
@@ -378,8 +345,11 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
     // Seeds: every node whose role-function inputs changed — its own
     // neighbor set (adj_changed, joins), and under kHighestDegree the
     // keys of its neighbors (degree changes propagate one hop).
-    std::set<ClusterKey> worklist;
-    const auto seed = [&](NodeId v) { worklist.insert(cluster_key(udg_, v, policy)); };
+    // Keys are static for the whole cascade (degrees are final once
+    // stage_udg finished), so the worklist order is globally consistent.
+    const auto key = [&](NodeId v) { return protocol::key_of(udg_, v, policy); };
+    std::set<protocol::ElectionKey> worklist;
+    const auto seed = [&](NodeId v) { worklist.insert(key(v)); };
     for (const NodeId v : ctx.adj_changed) seed(v);
     for (const NodeId v : ctx.joined) seed(v);
     if (policy == protocol::ClusterPolicy::kHighestDegree) {
@@ -395,13 +365,12 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
     // roles of all key-smaller nodes — the defining property of the
     // greedy order, which makes the localized cascade exact.
     while (!worklist.empty()) {
-        const ClusterKey key = *worklist.begin();
+        const protocol::ElectionKey mine = *worklist.begin();
         worklist.erase(worklist.begin());
-        const NodeId v = key.id;
+        const NodeId v = mine.id;
         bool dominated = false;
         for (const NodeId u : udg_.neighbors(v)) {
-            if (cluster.role[u] == Role::kDominator &&
-                cluster_key(udg_, u, policy) < key) {
+            if (cluster.role[u] == Role::kDominator && key(u) < mine) {
                 dominated = true;
                 break;
             }
@@ -413,9 +382,7 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
         ctx.roles_changed.push_back(v);
         if (ctx.roles_changed.size() > cap) return false;
         for (const NodeId u : udg_.neighbors(v)) {
-            if (cluster_key(udg_, u, policy) > key) {
-                worklist.insert(cluster_key(udg_, u, policy));
-            }
+            if (key(u) > mine) worklist.insert(key(u));
         }
     }
     sort_unique(ctx.roles_changed);
@@ -478,115 +445,39 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
     return true;
 }
 
-// ---- Dirty components ------------------------------------------------
+// ---- Dirty region ----------------------------------------------------
 
-std::vector<graph::NodeId> DynamicSpanner::build_c2(const PatchContext& ctx) const {
-    // C2: nodes whose election-relevant state changed (adjacency, role,
+std::vector<graph::NodeId> DynamicSpanner::dirty_region(const PatchContext& ctx) const {
+    // Seeds: nodes whose election-relevant state changed (adjacency, role,
     // dominator list, two-hop dominator list, or a fresh join). Every
     // pair whose election can differ has a dominator within the 2-hop
-    // closure S2 of C2 over old ∪ new edges, because elections are pure
-    // functions of the states of N2(pair).
-    std::vector<NodeId> c2 = ctx.adj_changed;
-    c2.insert(c2.end(), ctx.joined.begin(), ctx.joined.end());
-    c2.insert(c2.end(), ctx.roles_changed.begin(), ctx.roles_changed.end());
-    c2.insert(c2.end(), ctx.dom_list_changed.begin(), ctx.dom_list_changed.end());
-    c2.insert(c2.end(), ctx.two_hop_changed.begin(), ctx.two_hop_changed.end());
-    sort_unique(c2);
-    return c2;
-}
-
-std::vector<DynamicSpanner::DirtyComponent> DynamicSpanner::decompose_components(
-    const PatchContext& ctx, const std::vector<NodeId>& c2) const {
-    std::vector<DirtyComponent> comps;
-    if (c2.empty()) return comps;
-
-    // Union-find over seed indices; smaller root wins, so each class's
-    // root is its smallest seed and the final component order is the
-    // deterministic smallest-seed order.
-    std::vector<std::uint32_t> parent(c2.size());
-    for (std::uint32_t i = 0; i < parent.size(); ++i) parent[i] = i;
-    const auto find = [&](std::uint32_t x) {
-        while (parent[x] != x) {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        return x;
-    };
-    const auto unite = [&](std::uint32_t a, std::uint32_t b) {
-        a = find(a);
-        b = find(b);
-        if (a == b) return;
-        if (a < b) {
-            parent[b] = a;
-        } else {
-            parent[a] = b;
-        }
-    };
-
-    // Multi-source label BFS over old ∪ new adjacency, ceil(margin/2)
-    // rounds per side. Seeds within 2·depth >= margin hops collide on
-    // some middle node and merge; seeds of distinct final components are
-    // therefore >= 2·depth + 1 >= margin + 1 hops apart — clear of
-    // the <= 7-hop reach of every stage's dirty expansion, which is what
-    // makes the per-component plans' read/write sets disjoint.
-    const std::size_t depth = (kComponentMergeHops + 1) / 2;
-    constexpr std::uint32_t kNone = ~std::uint32_t{0};
-    std::vector<std::uint32_t> label(points_.size(), kNone);
-    std::vector<NodeId> frontier;
-    std::vector<NodeId> next;
-    for (std::uint32_t i = 0; i < c2.size(); ++i) {
-        label[c2[i]] = i;
-        frontier.push_back(c2[i]);
+    // closure of them over old ∪ new edges, because elections are pure
+    // functions of the states of N2(pair). Moved nodes join the seeds: a
+    // move that changed no UDG edge still dirties the LDel/Gabriel
+    // stages, so it counts against the gate; re-electing with the
+    // superset only reruns elections whose inputs are unchanged.
+    std::vector<NodeId> seeds = ctx.adj_changed;
+    for (const auto* part : {&ctx.joined, &ctx.roles_changed, &ctx.dom_list_changed,
+                             &ctx.two_hop_changed, &ctx.moved}) {
+        seeds.insert(seeds.end(), part->begin(), part->end());
     }
-    for (std::size_t h = 0; h < depth && !frontier.empty(); ++h) {
-        next.clear();
-        for (const NodeId v : frontier) {
-            const std::uint32_t cv = label[v];
-            const auto visit = [&](NodeId u) {
-                if (label[u] == kNone) {
-                    label[u] = cv;
-                    next.push_back(u);
-                } else {
-                    unite(cv, label[u]);
-                }
-            };
-            for (const NodeId u : udg_.neighbors(v)) visit(u);
-            const auto it = ctx.udg_removed_adj.find(v);
-            if (it != ctx.udg_removed_adj.end()) {
-                for (const NodeId u : it->second) visit(u);
-            }
-        }
-        std::swap(frontier, next);
-    }
-
-    // Group seeds by root. Seed indices ascend within each class and c2
-    // is sorted, so every component's seed list comes out sorted.
-    std::vector<std::vector<std::uint32_t>> members(c2.size());
-    for (std::uint32_t i = 0; i < c2.size(); ++i) members[find(i)].push_back(i);
-    for (std::uint32_t r = 0; r < members.size(); ++r) {
-        if (members[r].empty()) continue;
-        DirtyComponent comp;
-        comp.seeds.reserve(members[r].size());
-        for (const std::uint32_t idx : members[r]) comp.seeds.push_back(c2[idx]);
-        comp.region = expand_hops(udg_, ctx.udg_removed_adj, comp.seeds, 2);
-        comps.push_back(std::move(comp));
-    }
-    return comps;
+    sort_unique(seeds);
+    return expand_hops(udg_, ctx.udg_removed_adj, seeds, 2);
 }
 
 // ---- Stage 2: connector elections -------------------------------------
 
-void DynamicSpanner::stage_connectors(PatchContext& ctx, const std::vector<NodeId>& seeds) {
+void DynamicSpanner::stage_connectors(PatchContext& ctx,
+                                      const std::vector<NodeId>& region) {
     const auto& cluster = backbone_.cluster;
 
     // A dominator's elections read its 2-hop ball only (candidates are
     // its neighbours, second legs their neighbours), so a slice can
     // change only when an election input changed within 2 hops of its
     // owner: the dirty owners are the dominators, old or new, of the
-    // 2-hop closure of the seeds over old ∪ new adjacency.
-    const auto s2 = expand_hops(udg_, ctx.udg_removed_adj, seeds, 2);
+    // dirty region.
     std::vector<NodeId> owners;
-    for (const NodeId d : s2) {
+    for (const NodeId d : region) {
         ctx.touch(d);
         const auto it = ctx.old_role.find(d);
         const bool was = it != ctx.old_role.end() && it->second == Role::kDominator;

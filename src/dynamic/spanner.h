@@ -31,31 +31,31 @@
 // it is a kept-triangle side or passes proximity::is_gabriel_edge; a
 // primed graph holds its base graph plus the dominatee links).
 //
-// Concurrency: a batch's dirty set is decomposed into connected dirty
-// components (multi-source label BFS over old ∪ new adjacency with a
-// fixed 12-hop merge margin, unioned when frontiers meet). Components
-// whose seed sets stay >= 13 hops apart are gated separately. The owner
-// bodies of every stage run on the engine ThreadPool against the frozen
-// pre-commit state, and their slices are committed serially in owner
-// order, so output is bit-identical at any thread count.
+// Concurrency: a batch has one dirty region. The owner bodies of every
+// stage run over its dirty owners on the engine ThreadPool against the
+// frozen pre-commit state, and their slices are committed serially in
+// owner order, so output is bit-identical at any thread count.
 //
-// Fallback policy: the rebuild decision is per component. Only a batch
-// with a *single* component whose 2-hop dirty region exceeds
-// IncrementalOptions::rebuild_fraction of n (or whose union of regions
-// exceeds total_rebuild_fraction, or that contains leaves, whose
-// swap-remove id compaction perturbs the id-keyed elections globally)
-// falls back to a full rebuild from the current positions. Many small
-// far-apart updates therefore stay on the localized path even when
-// their merged dirty set spans the graph. The full rebuild is the
+// Fallback policy: a batch takes the full rebuild from its final
+// positions when it carries leaves (swap-remove id compaction perturbs
+// the id-keyed elections globally), under Planarizer::kLdel2 (the full
+// rebuild yields LDel²(ICDS)), or when its dirty region is too large
+// for a patch to pay: the cluster cascade flips more than 0.8·n roles,
+// or the 2-hop closure over old ∪ new adjacency of the connector seeds
+// holds more than 0.8·n nodes. That closure is the connector stage's own
+// owner region, so the gate costs no extra expansion; a batch that moves
+// or joins more than 0.8·n nodes is over it before the cascade runs. At
+// n=3500 and n=20k on 4 lanes a patch beat the engine rebuild at every
+// measured share below ≈0.8 and lost above it. The full rebuild is the
 // engine's own build (engine::build_udg_staged + build_backbone_staged
 // on the engine pool, under the configured planarizer) followed by
 // seeding the patch state from that build's per-owner intermediates;
 // the incremental path re-runs the same kernels' owner bodies, so each
-// paper rule has one implementation. Under Planarizer::kLdel2 every
-// batch takes the full rebuild, which yields LDel²(ICDS).
+// paper rule has one implementation.
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -88,41 +88,34 @@ struct UpdateBatch {
     }
 };
 
-/// One connected dirty component of a batch: its connector-stage seed
-/// set size, its 2-hop dirty region (sorted node ids), and whether that
-/// region alone exceeded the per-component rebuild gate.
-struct ComponentStats {
-    std::size_t seed_count = 0;
-    bool over_cap = false;                 ///< region > rebuild_fraction * n
-    std::vector<graph::NodeId> region;     ///< sorted 2-hop dirty region
-};
+/// Why apply() cannot take `batch` on a spanner of `n` nodes at
+/// `radius`, or "" when it can: a move or leave that names a nonexistent
+/// node (leaves apply sequentially with swap-remove, so each is checked
+/// against the count it sees), or a coordinate the cell grid cannot
+/// bucket (proximity::in_grid_range).
+[[nodiscard]] std::string validate_batch(const UpdateBatch& batch, std::size_t n,
+                                         double radius);
 
 /// What one apply() did: the repair path taken, the per-stage dirty
-/// volumes, the dirty-component decomposition, and the stage timing
-/// breakdown (same PipelineStats type the engine emits for full builds).
+/// volumes, and the stage timing breakdown (same PipelineStats type the
+/// engine emits for full builds).
 struct PatchStats {
     bool fell_back = false;            ///< batch took the full-rebuild path
+    /// The fallback was the region gate's: the dirty region or the
+    /// cascade's role flips exceeded 0.8·n. False when leaves or kLdel2
+    /// forced the rebuild.
+    bool over_cap = false;
     std::size_t dirty_nodes = 0;       ///< union of all per-stage dirty sets
     std::size_t udg_edge_changes = 0;  ///< UDG edges added + removed
     std::size_t roles_changed = 0;     ///< cluster roles flipped by the cascade
     std::size_t owners_reelected = 0;  ///< dominators whose connector elections reran
     std::size_t triangles_retested = 0;  ///< Algorithm-3 survivals re-evaluated
-    /// The connected dirty components the batch decomposed into, in
-    /// deterministic (smallest-seed) order. Empty when the batch fell
-    /// back before decomposition (leaves, cascade blowout, total gate).
-    std::vector<ComponentStats> components;
-    std::size_t component_fallbacks = 0;  ///< components over the per-component cap
-    /// Certified minimum hop separation between distinct components'
-    /// seed sets over old ∪ new adjacency (the 12-hop merge margin + 1);
-    /// 0 when no decomposition ran. verify::audit_patch_components
-    /// checks the region layout against it.
-    std::size_t separation_hops = 0;
     core::PipelineStats pipeline;
 };
 
 /// A maintained (UDG, Backbone) pair under point updates. The engine
 /// reference supplies the ThreadPool for the kernels and the options
-/// (cluster policy, planarizer, incremental gate, fallback fraction).
+/// (cluster policy, planarizer).
 /// Incremental patching supports the paper's default kLdel1 planarizer;
 /// kLdel2 configurations take the full-rebuild path on every batch.
 class DynamicSpanner {
@@ -136,7 +129,9 @@ class DynamicSpanner {
 
     /// Applies one update batch and repairs the backbone. Returns the
     /// patch report; stats.pipeline carries one StageStats per patch
-    /// kernel (or the engine's stage names on the fallback path).
+    /// kernel (or the engine's stage names on the fallback path). Throws
+    /// std::invalid_argument, before any state changes, on a batch that
+    /// validate_batch refuses.
     PatchStats apply(const UpdateBatch& batch);
 
     [[nodiscard]] const graph::GeometricGraph& udg() const noexcept { return udg_; }
@@ -196,14 +191,6 @@ class DynamicSpanner {
         void touch(NodeId v);  ///< adds v to the dirty union
     };
 
-    /// One connected dirty component: its slice of the connector-stage
-    /// seed set (sorted) and its 2-hop dirty region.
-    struct DirtyComponent {
-        std::vector<NodeId> seeds;
-        std::vector<NodeId> region;
-        bool over_cap = false;
-    };
-
     /// Axis-aligned bounding box of a triangle.
     struct Box {
         double min_x, max_x, min_y, max_y;
@@ -216,21 +203,15 @@ class DynamicSpanner {
     /// Role cascade + derived-list recompute; false → more than `cap`
     /// roles flipped, caller falls back to a full rebuild.
     bool run_cluster_cascade(PatchContext& ctx, std::size_t cap);
-    /// The connector-stage seed set: every node whose election-relevant
-    /// state changed this batch (adjacency, role, dominator lists, or a
-    /// fresh join). Sorted.
-    [[nodiscard]] std::vector<NodeId> build_c2(const PatchContext& ctx) const;
-    /// Partitions `c2` into connected dirty components: multi-source
-    /// label BFS over old ∪ new adjacency, half the merge margin deep
-    /// per side, union-find merging labels whose frontiers meet.
-    /// Distinct components' seed sets end up >= margin + 1 hops apart.
-    /// Components come back in deterministic smallest-seed order with
-    /// their 2-hop dirty regions attached.
-    [[nodiscard]] std::vector<DirtyComponent> decompose_components(
-        const PatchContext& ctx, const std::vector<NodeId>& c2) const;
-    /// Re-elects the dominators within 2 hops of `seeds` and re-decides
-    /// the CDS links and connector flags their slices touched.
-    void stage_connectors(PatchContext& ctx, const std::vector<NodeId>& seeds);
+    /// The batch's dirty region: the 2-hop closure over old ∪ new
+    /// adjacency of every node whose election-relevant state changed
+    /// (adjacency, role, dominator lists, a fresh join) or that moved.
+    /// It holds every dominator whose connector elections can differ.
+    /// Sorted.
+    [[nodiscard]] std::vector<NodeId> dirty_region(const PatchContext& ctx) const;
+    /// Re-elects the dominators in `region` and re-decides the CDS links
+    /// and connector flags their slices touched.
+    void stage_connectors(PatchContext& ctx, const std::vector<NodeId>& region);
     void stage_icds(PatchContext& ctx);
     /// Local triangles, the LDel¹ set and Algorithm 3 survival.
     void stage_ldel(PatchContext& ctx, PatchStats& stats);

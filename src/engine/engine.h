@@ -10,7 +10,10 @@
 // protocol::elect_connectors, core::induce_on_backbone,
 // proximity::ldel1_triangles, proximity::planarize_triangles,
 // proximity::ldel_graph, core::assemble_graphs); core::build_backbone
-// runs the same functions on one lane.
+// runs the same functions on one lane, and dynamic::DynamicSpanner
+// re-runs their owner bodies over an update batch's dirty owners. When
+// a batch is patched and when it is rebuilt is the patcher's decision
+// (dynamic/spanner.h), not an engine option.
 //
 // Determinism contract: for any thread count, the engine produces
 // edge-for-edge identical output to the sequential centralized path
@@ -35,24 +38,6 @@
 
 namespace geospanner::engine {
 
-/// Tunables of the incremental maintenance path (dynamic::DynamicSpanner).
-struct IncrementalOptions {
-    /// Per-component rebuild gate: an update batch is decomposed into
-    /// connected dirty components, and only a *single component* whose
-    /// dirty region exceeds this fraction of n forces the full-rebuild
-    /// path. A batch of many small, far-apart updates therefore stays on
-    /// the localized path even when the union of its dirty regions is
-    /// large — the union was never the right cost proxy, since disjoint
-    /// components are patched independently.
-    double rebuild_fraction = 0.25;
-    /// Whole-batch gate: when the union of all dirty regions (or the
-    /// cluster cascade's flip count) exceeds this fraction of n, the
-    /// batch takes the full-rebuild path regardless of how it splits
-    /// into components — past roughly half the graph, even perfectly
-    /// parallel localized patching loses to one parallel rebuild.
-    double total_rebuild_fraction = 0.5;
-};
-
 struct EngineOptions {
     std::size_t threads = 0;  ///< 0 → hardware concurrency
     protocol::ClusterPolicy cluster_policy = protocol::ClusterPolicy::kLowestId;
@@ -64,12 +49,6 @@ struct EngineOptions {
     /// any thread count (test_engine.cpp pins this).
     bool audit = false;
     verify::AuditOptions audit_options;  ///< caps used when audit is on
-    /// Consumed by dynamic::DynamicSpanner: when true, update batches
-    /// are patched by localized recomputation of the dirty region; when
-    /// false every batch takes the full-rebuild path (the baseline mode
-    /// the benches compare against). Ignored by plain builds.
-    bool incremental = true;
-    IncrementalOptions incremental_options;
 };
 
 /// One constructed instance: the UDG, every backbone topology, the

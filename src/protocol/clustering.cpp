@@ -8,17 +8,7 @@ namespace geospanner::protocol {
 
 using graph::GeometricGraph;
 
-namespace {
-
-/// Election ranking: smaller key wins. kLowestId ranks by id alone;
-/// kHighestDegree prefers larger degree, then smaller id.
-struct Key {
-    std::size_t primary = 0;
-    NodeId id = 0;
-    friend auto operator<=>(const Key&, const Key&) = default;
-};
-
-Key key_of(const GeometricGraph& udg, NodeId v, ClusterPolicy policy) {
+ElectionKey key_of(const GeometricGraph& udg, NodeId v, ClusterPolicy policy) {
     switch (policy) {
         case ClusterPolicy::kLowestId:
             return {0, v};
@@ -28,6 +18,8 @@ Key key_of(const GeometricGraph& udg, NodeId v, ClusterPolicy policy) {
     }
     return {0, v};
 }
+
+namespace {
 
 /// Harvest pass shared by both engines: dominator lists come from
 /// adjacency + roles; two-hop dominators from dominatee neighbors'
@@ -71,7 +63,7 @@ ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy p
     // currently known (updated from received announcements). Election
     // keys of neighbors are known from the Hello beacons (id + degree).
     std::vector<char> white(n, 1);
-    std::vector<std::set<Key>> white_neighbors(n);
+    std::vector<std::set<ElectionKey>> white_neighbors(n);
     for (NodeId v = 0; v < n; ++v) {
         for (const NodeId u : udg.neighbors(v)) {
             white_neighbors[v].insert(key_of(udg, u, policy));
@@ -113,7 +105,7 @@ ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy p
         // still-white neighbors elects itself dominator.
         for (NodeId v = 0; v < n; ++v) {
             if (!white[v]) continue;
-            const Key mine = key_of(udg, v, policy);
+            const ElectionKey mine = key_of(udg, v, policy);
             if (white_neighbors[v].empty() || mine < *white_neighbors[v].begin()) {
                 white[v] = 0;
                 state.role[v] = Role::kDominator;
@@ -146,7 +138,7 @@ ClusterState cluster_reference(const GeometricGraph& udg, ClusterPolicy policy,
         engine::parallel_for(pool, 0, n, [&](std::size_t i) {
             const auto v = static_cast<NodeId>(i);
             if (!white[v]) return;
-            const Key mine = key_of(udg, v, policy);
+            const ElectionKey mine = key_of(udg, v, policy);
             bool best = true;
             for (const NodeId u : udg.neighbors(v)) {
                 if (white[u] && key_of(udg, u, policy) < mine) {

@@ -18,6 +18,9 @@
 //                     beacon).
 #pragma once
 
+#include <compare>
+#include <cstddef>
+
 #include "protocol/cluster_state.h"
 #include "protocol/messages.h"
 
@@ -27,6 +30,19 @@ enum class ClusterPolicy {
     kLowestId,
     kHighestDegree,
 };
+
+/// Election ranking: smaller key wins. kLowestId ranks by id alone;
+/// kHighestDegree prefers larger degree, then smaller id. Every form of
+/// the MIS election (the protocol, cluster_reference and the dynamic
+/// patcher's cascade) orders nodes by this key.
+struct ElectionKey {
+    std::size_t primary = 0;
+    NodeId id = 0;
+    friend auto operator<=>(const ElectionKey&, const ElectionKey&) = default;
+};
+
+[[nodiscard]] ElectionKey key_of(const graph::GeometricGraph& udg, NodeId v,
+                                 ClusterPolicy policy);
 
 /// Runs the distributed clustering protocol over the radio graph of
 /// `net` (which must be the UDG). Every node first broadcasts a Hello

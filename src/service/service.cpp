@@ -3,46 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "proximity/cell_grid.h"
-
 namespace geospanner::service {
-
-namespace {
-
-/// Structural validation, cheap enough to run on every batch: a batch
-/// that names nonexistent nodes or carries coordinates the cell grid
-/// cannot bucket (proximity::in_grid_range) is poisoned — applying it
-/// would corrupt the patcher's invariants (or crash), so it is
-/// quarantined before apply. `n` is the pre-batch node count.
-std::string validate_batch(const dynamic::UpdateBatch& batch, std::size_t n,
-                           double radius) {
-    for (const auto& mv : batch.moves) {
-        if (mv.node >= n) {
-            return "move targets nonexistent node " + std::to_string(mv.node);
-        }
-        if (!proximity::in_grid_range(mv.to, radius)) {
-            return "non-finite or out-of-range move coordinate for node " +
-                   std::to_string(mv.node);
-        }
-    }
-    for (const geom::Point p : batch.joins) {
-        if (!proximity::in_grid_range(p, radius)) {
-            return "non-finite or out-of-range join coordinate";
-        }
-    }
-    // Leaves apply sequentially with swap-remove, so each one must be
-    // in range of the count it sees.
-    std::size_t count = n + batch.joins.size();
-    for (const graph::NodeId leaver : batch.leaves) {
-        if (count == 0 || leaver >= count) {
-            return "leave targets nonexistent node " + std::to_string(leaver);
-        }
-        --count;
-    }
-    return {};
-}
-
-}  // namespace
 
 SpannerService::SpannerService(engine::SpannerEngine& engine,
                                std::vector<geom::Point> points, double radius,
@@ -132,7 +93,10 @@ void SpannerService::process(Ingest& ingest) {
 
     // Each outcome below updates its counters in one stats_mutex_
     // section, so stats() never sees a half-counted batch.
-    const std::string invalid = validate_batch(batch, spanner_->node_count(), radius_);
+    // apply() would throw on the same check; catching it here first
+    // quarantines the batch instead.
+    const std::string invalid =
+        dynamic::validate_batch(batch, spanner_->node_count(), radius_);
     if (!invalid.empty()) {
         // Caught before apply: state untouched, nothing to roll back.
         record_quarantine(invalid, batch, /*rolled_back=*/false);
@@ -190,8 +154,8 @@ void SpannerService::process(Ingest& ingest) {
         ++batches_applied_;
         updates_applied_ += updates;
         if (pstats.fell_back) ++fallbacks_;
-        components_patched_ += pstats.components.size();
-        component_fallbacks_ += pstats.component_fallbacks;
+        if (!pstats.fell_back) ++components_patched_;
+        if (pstats.over_cap) ++component_fallbacks_;
     }
     // The rollback target only advances past states the gate actually
     // certified (or every applied state when no gate is configured).

@@ -26,7 +26,8 @@
 //     producer, reject the batch, or coalesce move-only batches into
 //     the newest queued one.
 //   * Poisoned-batch quarantine: structurally invalid batches
-//     (non-finite coordinates, out-of-range ids) are rejected before
+//     (non-finite coordinates, out-of-range ids; dynamic::validate_batch,
+//     the check DynamicSpanner::apply throws on) are rejected before
 //     apply; an optional post-apply audit gate (verify::audit_backbone
 //     every audit_every batches, or a caller-supplied check) rolls a
 //     batch that corrupted the invariants back to the last good
@@ -140,8 +141,12 @@ struct ServiceStats {
     std::uint64_t batches_applied = 0;  ///< batches that stuck (not quarantined)
     std::uint64_t updates_applied = 0;  ///< moves + joins + leaves
     std::uint64_t fallbacks = 0;        ///< batches on the full-rebuild path
+    /// Batches patched in place. A batch has one dirty region, so the
+    /// name's "components" are batches.
     std::uint64_t components_patched = 0;
-    std::uint64_t component_fallbacks = 0;  ///< components over the per-component cap
+    /// Batches the region gate sent to a rebuild (PatchStats::over_cap):
+    /// a subset of `fallbacks`, which also counts leave batches.
+    std::uint64_t component_fallbacks = 0;
     std::uint64_t snapshots_published = 0;
     std::uint64_t batches_rejected = 0;    ///< backpressure kReject drops
     std::uint64_t batches_coalesced = 0;   ///< merged into a queued batch

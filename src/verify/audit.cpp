@@ -444,98 +444,6 @@ StageAudit audit_ldel(const GeometricGraph& udg, const core::Backbone& backbone,
     return stage;
 }
 
-StageAudit audit_patch_components(const GeometricGraph& udg, const PatchLayout& layout,
-                                  const AuditOptions& options) {
-    const std::size_t n = udg.node_count();
-    const std::size_t comps = layout.regions.size();
-    constexpr std::uint32_t kNoOwner = std::numeric_limits<std::uint32_t>::max();
-
-    AuditReport regions_ok = make_report("patch_regions", "patch decomposition");
-    for (std::size_t t = 0; t < comps; ++t) {
-        const auto& region = layout.regions[t];
-        for (std::size_t i = 0; i < region.size(); ++i) {
-            const bool unsorted = i > 0 && region[i] <= region[i - 1];
-            if (region[i] >= n || unsorted) {
-                Witness w;
-                w.nodes.push_back(region[i]);
-                w.detail = "component " + std::to_string(t) +
-                           (unsorted ? " region not sorted/unique at node "
-                                     : " region holds invalid node ") +
-                           std::to_string(region[i]);
-                add_witness(regions_ok, options, std::move(w));
-            }
-        }
-    }
-
-    // Region membership map, reused by the separation BFS below. A node
-    // in two regions would let two components elect or delete the same
-    // connector pair — the exact race the decomposition must exclude.
-    AuditReport disjoint = make_report("patch_disjoint", "patch decomposition");
-    std::vector<std::uint32_t> owner(n, kNoOwner);
-    if (regions_ok.pass) {
-        for (std::size_t t = 0; t < comps; ++t) {
-            for (NodeId v : layout.regions[t]) {
-                if (owner[v] != kNoOwner) {
-                    Witness w;
-                    w.nodes.push_back(v);
-                    w.detail = "node " + std::to_string(v) + " lies in regions of" +
-                               " components " + std::to_string(owner[v]) + " and " +
-                               std::to_string(t);
-                    add_witness(disjoint, options, std::move(w));
-                } else {
-                    owner[v] = static_cast<std::uint32_t>(t);
-                }
-            }
-        }
-    }
-
-    // Separation: seeds of distinct components are claimed
-    // ≥ separation_hops apart; regions are 2-hop seed expansions, so
-    // region-to-region distance must be ≥ separation_hops − 4. BFS from
-    // each region and flag any foreign region node reached sooner.
-    AuditReport separation = make_report("patch_separation", "patch separation");
-    if (regions_ok.pass && disjoint.pass && comps > 1 && layout.separation_hops > 4) {
-        const std::uint32_t gap =
-            static_cast<std::uint32_t>(layout.separation_hops - 4);
-        std::vector<std::uint32_t> dist(n);
-        std::vector<NodeId> frontier, next;
-        for (std::size_t t = 0; t < comps; ++t) {
-            std::fill(dist.begin(), dist.end(),
-                      std::numeric_limits<std::uint32_t>::max());
-            frontier.assign(layout.regions[t].begin(), layout.regions[t].end());
-            for (NodeId v : frontier) dist[v] = 0;
-            for (std::uint32_t hop = 1; hop < gap && !frontier.empty(); ++hop) {
-                next.clear();
-                for (NodeId u : frontier) {
-                    for (NodeId v : udg.neighbors(u)) {
-                        if (dist[v] != std::numeric_limits<std::uint32_t>::max()) {
-                            continue;
-                        }
-                        dist[v] = hop;
-                        next.push_back(v);
-                        if (owner[v] != kNoOwner && owner[v] != t) {
-                            Witness w;
-                            w.nodes.push_back(v);
-                            w.measured = static_cast<double>(hop);
-                            w.bound = static_cast<double>(gap);
-                            w.detail = "component " + std::to_string(owner[v]) +
-                                       " region node " + std::to_string(v) + " is " +
-                                       std::to_string(hop) + " hops from component " +
-                                       std::to_string(t) + "'s region (need >= " +
-                                       std::to_string(gap) + ")";
-                            add_witness(separation, options, std::move(w));
-                        }
-                    }
-                }
-                frontier.swap(next);
-            }
-        }
-    }
-
-    return {"patch",
-            {std::move(regions_ok), std::move(disjoint), std::move(separation)}};
-}
-
 AuditTrail audit_backbone(const GeometricGraph& udg, const core::Backbone& backbone,
                           const AuditOptions& options) {
     AuditTrail trail;

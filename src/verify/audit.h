@@ -180,36 +180,4 @@ struct AuditTrail {
                                         const core::Backbone& backbone,
                                         const AuditOptions& options = {});
 
-// ---- Dynamic-patch component audit ------------------------------------
-
-/// How one incremental patch carved its dirty set: the per-component
-/// 2-hop dirty regions (sorted node ids, from
-/// dynamic::PatchStats::components) and the minimum seed-set hop
-/// separation the patcher certified between distinct components
-/// (PatchStats::separation_hops). Lives here rather than in src/dynamic
-/// so the auditor stays below the engines in the layer order.
-struct PatchLayout {
-    std::vector<std::vector<graph::NodeId>> regions;  ///< per component, ascending
-    std::size_t separation_hops = 0;
-};
-
-/// Patch-decomposition audit over the post-patch UDG:
-///  * patch_regions — every region is a sorted duplicate-free set of
-///    valid node ids;
-///  * patch_disjoint — no node lies in two components' regions (the
-///    precondition for planning components in parallel and committing
-///    their connector plans independently);
-///  * patch_separation — distinct components' regions stay
-///    ≥ separation_hops − 4 UDG hops apart (seed sets are
-///    ≥ separation_hops apart and each region is a 2-hop expansion of
-///    its seeds), certified by multi-source BFS per component.
-/// The separation check is one-sided/sound: the patcher's claim is over
-/// old ∪ new adjacency, a supergraph of the post-patch UDG, so hop
-/// distances here only overestimate — any violation found is a genuine
-/// violation of the claim, though a claim violation that used a removed
-/// edge may go unseen.
-[[nodiscard]] StageAudit audit_patch_components(const graph::GeometricGraph& udg,
-                                                const PatchLayout& layout,
-                                                const AuditOptions& options = {});
-
 }  // namespace geospanner::verify

@@ -10,10 +10,9 @@
 // while Biniaz-style and Kanj–Perković do claim it and must produce a
 // crossing-free embedding on every input, degenerate ones included.
 //
-// BackendClaims lives here rather than in src/backends for the same
-// layering reason as PatchLayout in audit.h: the auditor stays below the
-// engines it certifies, so src/backends can link gs_verify without a
-// cycle.
+// BackendClaims lives here rather than in src/backends so the auditor
+// stays below the engines it certifies: src/backends can link gs_verify
+// without a cycle.
 #pragma once
 
 #include "verify/audit.h"

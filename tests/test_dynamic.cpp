@@ -207,44 +207,71 @@ TEST(DynamicSpanner, LeavesFallBackAndMatchReference) {
         const std::size_t before = dyn.node_count();
         const PatchStats stats = dyn.apply(batch);
         EXPECT_TRUE(stats.fell_back);
+        EXPECT_FALSE(stats.over_cap);
         ASSERT_EQ(dyn.node_count(), before - 1);
         ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "") << "step " << step;
     }
 }
 
 TEST(DynamicSpanner, ForcedFallbackStaysIdentical) {
-    // rebuild_fraction = 0 forces the full-rebuild path on every batch;
-    // both repair paths must land on the same topology.
-    const auto udg = test::connected_udg(40, 150.0, 55.0, 23);
-    ASSERT_GT(udg.node_count(), 0u);
-    engine::EngineOptions opts = engine_options(ClusterPolicy::kLowestId);
-    opts.incremental_options.rebuild_fraction = 0.0;
-    engine::SpannerEngine engine(opts);
-    DynamicSpanner dyn(engine, udg.points(), 55.0);
-    rnd::Xoshiro256 rng(5);
-    for (int step = 0; step < 5; ++step) {
-        const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
-        const geom::Point p = dyn.positions()[v];
-        UpdateBatch batch;
-        batch.moves.push_back(
-            {v, {p.x + rng.uniform(-20.0, 20.0), p.y + rng.uniform(-20.0, 20.0)}});
-        const PatchStats stats = dyn.apply(batch);
-        EXPECT_TRUE(stats.fell_back) << "step " << step;
-        ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "") << "step " << step;
+    // A batch that moves every node exceeds the region gate after the
+    // UDG stage already patched state; the rebuild must still land on
+    // the from-scratch topology.
+    struct Input {
+        std::size_t n;
+        double side, radius;
+        std::uint64_t seed;
+    };
+    for (const Input in : {Input{40, 150.0, 55.0, 23}, Input{100, 280.0, 50.0, 37}}) {
+        const auto udg = test::connected_udg(in.n, in.side, in.radius, in.seed);
+        ASSERT_GT(udg.node_count(), 0u);
+        engine::SpannerEngine engine(engine_options(ClusterPolicy::kLowestId));
+        DynamicSpanner dyn(engine, udg.points(), in.radius);
+        rnd::Xoshiro256 rng(in.seed * 5);
+        for (int step = 0; step < 3; ++step) {
+            UpdateBatch batch;
+            for (NodeId v = 0; v < dyn.node_count(); ++v) {
+                const geom::Point p = dyn.positions()[v];
+                batch.moves.push_back(
+                    {v, {p.x + rng.uniform(-20.0, 20.0), p.y + rng.uniform(-20.0, 20.0)}});
+            }
+            const PatchStats stats = dyn.apply(batch);
+            EXPECT_TRUE(stats.fell_back) << "n=" << in.n << " step " << step;
+            EXPECT_TRUE(stats.over_cap) << "n=" << in.n << " step " << step;
+            ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "")
+                << "n=" << in.n << " step " << step;
+        }
     }
 }
 
-TEST(DynamicSpanner, IncrementalDisabledTakesFullRebuildPath) {
-    const auto udg = test::connected_udg(30, 150.0, 55.0, 3);
+TEST(DynamicSpanner, ApplyRefusesBadBatchesBeforeChangingState) {
+    const double radius = 50.0;
+    const auto udg = test::connected_udg(40, 150.0, radius, 11);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::EngineOptions opts = engine_options(ClusterPolicy::kLowestId);
-    opts.incremental = false;
-    engine::SpannerEngine engine(opts);
-    DynamicSpanner dyn(engine, udg.points(), 55.0);
-    UpdateBatch batch;
-    batch.moves.push_back({0, dyn.positions()[0]});
-    const PatchStats stats = dyn.apply(batch);
-    EXPECT_TRUE(stats.fell_back);
+    engine::SpannerEngine engine(engine_options(ClusterPolicy::kLowestId));
+    DynamicSpanner dyn(engine, udg.points(), radius);
+    const auto n = static_cast<NodeId>(dyn.node_count());
+    const std::vector<geom::Point> positions = dyn.positions();
+    const GeometricGraph before_udg = dyn.udg();
+    const core::Backbone before = dyn.backbone();
+
+    // Each bad update rides behind a valid move: the whole batch must be
+    // refused, not applied up to the bad update.
+    std::vector<UpdateBatch> bad(4);
+    for (UpdateBatch& batch : bad) batch.moves.push_back({0, {1.0, 1.0}});
+    bad[0].moves.push_back({1, {std::numeric_limits<double>::quiet_NaN(), 0.0}});
+    bad[1].joins.push_back({radius * 0x1p62, 0.0});
+    bad[2].moves.push_back({n, {0.0, 0.0}});
+    bad[3].leaves = {0, n - 1};  // the second leave sees n - 1 nodes
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        EXPECT_THROW(dyn.apply(bad[i]), std::invalid_argument) << "batch " << i;
+        ASSERT_EQ(dyn.positions(), positions) << "batch " << i;
+        ASSERT_TRUE(dyn.udg() == before_udg) << "batch " << i;
+        ASSERT_EQ(test::backbone_diff(dyn.backbone(), before), "") << "batch " << i;
+    }
+    UpdateBatch good;
+    good.moves.push_back({0, {positions[0].x + 5.0, positions[0].y}});
+    dyn.apply(good);
     EXPECT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "");
 }
 
@@ -357,14 +384,8 @@ TEST(DynamicSpanner, PatchesAtScaleAcrossFallbacksAndLanes) {
             std::vector<std::unique_ptr<engine::SpannerEngine>> engines;
             std::vector<std::unique_ptr<DynamicSpanner>> spanners;
             for (const std::size_t lanes : {1, 2, 8}) {
-                // At this size the 2-hop regions of 32 moves merge into
-                // one component of about a third of the nodes: wider
-                // gates keep those batches on the incremental path (the
-                // every-node batch still exceeds them).
-                engine::EngineOptions opts = test::dynamic_engine_options(policy, lanes);
-                opts.incremental_options.rebuild_fraction = 0.6;
-                opts.incremental_options.total_rebuild_fraction = 0.8;
-                engines.push_back(std::make_unique<engine::SpannerEngine>(opts));
+                engines.push_back(std::make_unique<engine::SpannerEngine>(
+                    test::dynamic_engine_options(policy, lanes)));
                 spanners.push_back(
                     std::make_unique<DynamicSpanner>(*engines.back(), points, config.radius));
             }

@@ -1,12 +1,8 @@
-// Concurrent dirty-component patching: the TEST_P sweep drives the
-// component decomposition across instance shapes × seeds × batch sizes
-// × thread counts and holds every patched topology to edge-for-edge
-// identity with a from-scratch build, plus the verify:: patch-layout
-// certificate (disjoint regions, hop separation) on every decomposed
-// batch. The adversarial cases pin the decomposition's edge behavior:
-// nearby seeds must merge into one component, over-cap components must
-// fall back without divergence, and a move racing a leave of an
-// adjacent node must stay exact through the fallback path.
+// Patching on the engine pool: the TEST_P sweep drives the patch kernels
+// across instance shapes × seeds × batch sizes × thread counts and holds
+// every patched topology to edge-for-edge identity with a from-scratch
+// build. Thread-count determinism is pinned directly, and a move racing
+// a leave of an adjacent node must stay exact through the fallback path.
 #include "dynamic/spanner.h"
 
 #include <gtest/gtest.h>
@@ -20,7 +16,6 @@
 #include "dynamic_test_util.h"
 #include "proximity/udg.h"
 #include "test_util.h"
-#include "verify/audit.h"
 
 namespace geospanner::dynamic {
 namespace {
@@ -60,25 +55,6 @@ std::vector<ConcurrentParam> sweep() {
     return params;
 }
 
-/// Patch certificate from one apply(): region layout fed to the
-/// verify:: auditor. Empty layout (fallback or no decomposition) audits
-/// vacuously.
-testing::AssertionResult components_certified(const DynamicSpanner& dyn,
-                                              const PatchStats& stats) {
-    if (stats.fell_back || stats.components.empty()) {
-        return testing::AssertionSuccess();
-    }
-    verify::PatchLayout layout;
-    layout.separation_hops = stats.separation_hops;
-    for (const auto& comp : stats.components) layout.regions.push_back(comp.region);
-    const verify::StageAudit audit =
-        verify::audit_patch_components(dyn.udg(), layout);
-    if (audit.pass()) return testing::AssertionSuccess();
-    auto failure = testing::AssertionFailure();
-    for (const auto& report : audit.reports) failure << report.summary() << "\n";
-    return failure;
-}
-
 class DynamicConcurrent : public testing::TestWithParam<ConcurrentParam> {};
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DynamicConcurrent, testing::ValuesIn(sweep()),
@@ -109,15 +85,13 @@ TEST_P(DynamicConcurrent, PatchedTopologyMatchesReference) {
                 {v, {q.x + rng.uniform(-15.0, 15.0), q.y + rng.uniform(-15.0, 15.0)}});
         }
         const PatchStats stats = dyn.apply(batch);
-        ASSERT_TRUE(components_certified(dyn, stats)) << "step " << step;
         ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "")
-            << "step " << step << " components=" << stats.components.size()
-            << " fell_back=" << stats.fell_back;
+            << "step " << step << " fell_back=" << stats.fell_back;
     }
 }
 
 TEST(DynamicConcurrent, ThreadCountsProduceIdenticalTopology) {
-    // The plan/commit split's determinism claim, pinned directly: the
+    // The owner-order commit's determinism claim, pinned directly: the
     // same batch sequence through pools of 1, 2, and 8 threads must
     // yield bit-identical backbones at every step.
     const double radius = 50.0;
@@ -151,65 +125,6 @@ TEST(DynamicConcurrent, ThreadCountsProduceIdenticalTopology) {
         }
     }
     ASSERT_EQ(divergence(*dyns[0], ClusterPolicy::kLowestId), "");
-}
-
-TEST(DynamicConcurrent, AdjacentSeedsMergeIntoOneComponent) {
-    // Two moved nodes one hop apart sit far inside the merge margin
-    // (separation_hops ≥ 13), so the decomposition must put them in a
-    // single component — two components here would let their connector
-    // plans race on shared pairs.
-    const double radius = 55.0;
-    const auto udg = test::connected_udg(80, 240.0, radius, 13);
-    ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
-    DynamicSpanner dyn(engine, udg.points(), radius);
-
-    NodeId v = 0;
-    while (dyn.udg().neighbors(v).empty()) ++v;
-    const NodeId u = dyn.udg().neighbors(v).front();
-    UpdateBatch batch;
-    const geom::Point pv = dyn.positions()[v];
-    const geom::Point pu = dyn.positions()[u];
-    batch.moves.push_back({v, {pv.x + 3.0, pv.y - 2.0}});
-    batch.moves.push_back({u, {pu.x - 2.0, pu.y + 3.0}});
-    const PatchStats stats = dyn.apply(batch);
-    if (!stats.fell_back) {
-        EXPECT_EQ(stats.components.size(), 1u);
-        EXPECT_TRUE(components_certified(dyn, stats));
-    }
-    ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "");
-}
-
-TEST(DynamicConcurrent, AllComponentsOverCapFallBackIdentically) {
-    // Per-component gate squeezed to zero: every component's region
-    // exceeds its cap, the batch must take the full-rebuild path, record
-    // the over-cap components it found, and still land on the reference
-    // topology.
-    const double radius = 50.0;
-    const auto udg = test::connected_udg(100, 280.0, radius, 37);
-    ASSERT_GT(udg.node_count(), 0u);
-    engine::EngineOptions opts =
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2);
-    opts.incremental_options.rebuild_fraction = 1e-9;
-    opts.incremental_options.total_rebuild_fraction = 1.0;
-    engine::SpannerEngine engine(opts);
-    DynamicSpanner dyn(engine, udg.points(), radius);
-
-    rnd::Xoshiro256 rng(404);
-    UpdateBatch batch;
-    for (int i = 0; i < 6; ++i) {
-        const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
-        const geom::Point q = dyn.positions()[v];
-        batch.moves.push_back(
-            {v, {q.x + rng.uniform(-20.0, 20.0), q.y + rng.uniform(-20.0, 20.0)}});
-    }
-    const PatchStats stats = dyn.apply(batch);
-    EXPECT_TRUE(stats.fell_back);
-    EXPECT_FALSE(stats.components.empty());
-    EXPECT_GE(stats.component_fallbacks, 1u);
-    EXPECT_EQ(stats.component_fallbacks, stats.components.size());
-    ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "");
 }
 
 TEST(DynamicConcurrent, SimultaneousMoveAndLeaveOnAdjacentNodes) {
